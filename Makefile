@@ -8,7 +8,7 @@ VETTOOL := $(BIN)/adaedge-lint
 # Per-target fuzz time for the smoke pass (CI uses the same value).
 FUZZTIME ?= 20s
 
-.PHONY: all build vet lint escape-gate escape-gate-update test race fuzz-smoke obs-smoke fleet-smoke bench-json bench-compare doc-drift ci clean
+.PHONY: all build vet lint escape-gate escape-gate-update test race fuzz-smoke obs-smoke fleet-smoke perfbench-smoke bench-json bench-compare doc-drift ci clean
 
 all: build
 
@@ -71,6 +71,22 @@ obs-smoke:
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 
+# perfbench-smoke runs the repository benchmark (perfbench/, declared in
+# BENCHMARK.json) for one traced second per workload. A traced run also
+# performs every pass check and the per-workload regime checks; the
+# target fails unless each workload prints "correct":true.
+PERFBENCH_WORKLOADS := cbf_lossy_ml cbf_lossless_ctx offline_recode fleet_churn
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "--- $$w"; \
+		out=$$(bash perfbench/run.sh --workload $$w --seconds 1 --trace 1) || exit 1; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		case "$$last" in \
+			*'"correct":true'*) echo "$$w: correct" ;; \
+			*) echo "$$last"; echo "perfbench-smoke: $$w did not report correct"; exit 1 ;; \
+		esac; \
+	done
+
 # bench-json runs the continuous benchmark matrix and writes the next free
 # BENCH_<n>.json in the repo root, then re-validates it against the schema.
 # BENCHSEGMENTS scales the workload (CI uses a short scale).
@@ -101,7 +117,7 @@ bench-compare:
 doc-drift:
 	./scripts/doc_drift.sh
 
-ci: build vet lint escape-gate race obs-smoke fleet-smoke doc-drift
+ci: build vet lint escape-gate race obs-smoke fleet-smoke perfbench-smoke doc-drift
 
 clean:
 	rm -rf $(BIN)

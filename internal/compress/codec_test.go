@@ -455,6 +455,40 @@ func TestCorruptDataRejected(t *testing.T) {
 	}
 }
 
+// TestFlateReaderPoolReuse interleaves corrupt and valid decodes on one
+// codec instance: a pooled reader must decode every valid segment exactly,
+// whatever the decode before it did.
+func TestFlateReaderPoolReuse(t *testing.T) {
+	for _, c := range []Codec{NewGzip(), NewZlib(1), NewZlib(6), NewZlib(9)} {
+		for i := 0; i < 6; i++ {
+			sig := smoothSignal(100+50*i, int64(30+i))
+			enc, err := c.Compress(sig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 1 {
+				bad := enc
+				bad.Data = append([]byte(nil), enc.Data[:len(enc.Data)/2]...)
+				if _, err := c.Decompress(bad); err == nil {
+					t.Fatalf("%s: truncated decode succeeded", c.Name())
+				}
+			}
+			dec, err := c.Decompress(enc)
+			if err != nil {
+				t.Fatalf("%s segment %d: %v", c.Name(), i, err)
+			}
+			if len(dec) != len(sig) {
+				t.Fatalf("%s segment %d: %d values, want %d", c.Name(), i, len(dec), len(sig))
+			}
+			for j := range sig {
+				if dec[j] != sig[j] {
+					t.Fatalf("%s segment %d: value %d = %v, want %v", c.Name(), i, j, dec[j], sig[j])
+				}
+			}
+		}
+	}
+}
+
 func TestEncodedRatio(t *testing.T) {
 	e := Encoded{Data: make([]byte, 400), N: 100}
 	if got := e.Ratio(); got != 0.5 {

@@ -83,6 +83,7 @@ type Zlib struct {
 	level   int
 	name    string
 	writers sync.Pool // *zlib.Writer
+	readers sync.Pool // io.ReadCloser implementing zlib.Resetter
 }
 
 // NewZlib returns a Zlib codec at the given level (1..9).
@@ -130,14 +131,23 @@ func (z *Zlib) Decompress(enc Encoded) ([]float64, error) {
 	if enc.Codec != z.name {
 		return nil, ErrCodecMismatch
 	}
-	r, err := zlib.NewReader(bytes.NewReader(enc.Data))
-	if err != nil {
+	r, _ := z.readers.Get().(io.ReadCloser)
+	if r == nil {
+		var err error
+		r, err = zlib.NewReader(bytes.NewReader(enc.Data))
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	} else if err := r.(zlib.Resetter).Reset(bytes.NewReader(enc.Data), nil); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	defer r.Close()
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	z.readers.Put(r)
 	return bytesToFloats(raw)
 }

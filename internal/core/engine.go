@@ -93,7 +93,13 @@ type Config struct {
 	CodecCost func(op, codec string, points int) float64
 	// LosslessProbeInterval is how often (in segments) the online engine
 	// re-probes lossless viability after it has been found infeasible
-	// (default 50).
+	// (default 50). A re-probe runs at most two trials once every
+	// lossless arm has run: the arm with the lowest last-achieved ratio
+	// and one rotating arm, plus any arm never run. The rotation visits
+	// every arm within len(LosslessArms) probes, so a codec that becomes
+	// feasible on new data is found within that many probes. Retarget,
+	// RetargetRatio and a loosening Degrade end probing, and the next
+	// segment runs a full lossless phase over every arm.
 	LosslessProbeInterval int
 	// DeviceWatts enables energy accounting (paper §IV-A4's deferred
 	// power constraint): every codec operation is charged at this power

@@ -38,7 +38,9 @@ type onlineMetrics struct {
 	infeasible *obs.Counter
 	specHits   *obs.Counter
 	specMisses *obs.Counter
+	specUnused *obs.Counter
 	stalePreps *obs.Counter
+	probeElide *obs.Counter
 
 	effTarget *obs.Gauge
 	pressure  *obs.Gauge
@@ -66,7 +68,9 @@ func newOnlineMetrics(o *obs.Observer, deviceID uint64) *onlineMetrics {
 		infeasible: reg.Counter("core.online.no_feasible"),
 		specHits:   reg.Counter("core.online.spec_hits"),
 		specMisses: reg.Counter("core.online.spec_misses"),
+		specUnused: reg.Counter("core.online.spec_unconsumed"),
 		stalePreps: reg.Counter("core.online.prepared_stale"),
+		probeElide: reg.Counter("core.online.probe_trials_elided"),
 		effTarget:  reg.Gauge("core.online.effective_target"),
 		pressure:   reg.Gauge("core.online.pressure"),
 		compress:   make(map[string]*obs.Histogram),
@@ -175,6 +179,27 @@ func (m *onlineMetrics) spec(hit bool) {
 	} else {
 		m.specMisses.Inc()
 	}
+}
+
+// specUnconsumed counts n speculated trials released without the
+// decision path consuming them.
+//
+// adaedge:decision-goroutine
+func (m *onlineMetrics) specUnconsumed(n int) {
+	if m == nil || n == 0 {
+		return
+	}
+	m.specUnused.Add(int64(n))
+}
+
+// probeElided counts n lossless arms a re-probe masked out.
+//
+// adaedge:decision-goroutine
+func (m *onlineMetrics) probeElided(n int) {
+	if m == nil || n == 0 {
+		return
+	}
+	m.probeElide.Add(int64(n))
 }
 
 // stalePrep counts prepared segments discarded because the target moved.

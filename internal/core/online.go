@@ -40,6 +40,8 @@ type OnlineEngine struct {
 	nextID        uint64
 	losslessFails int
 	sinceProbe    int
+	// probe plans lossless re-probes from each arm's last achieved ratio.
+	probe losslessRecord
 	// losslessViable is written by the decision goroutine and read by
 	// PrepareSegment workers as a prediction hint, hence atomic.
 	losslessViable atomic.Bool
@@ -148,6 +150,7 @@ func NewOnlineEngine(cfg Config) (*OnlineEngine, error) {
 		lossyNames:    armNames(cfg.LossyArms, cfg.Registry.Lossy()),
 		stats:         OnlineStats{CodecUse: make(map[string]int)},
 	}
+	e.probe = newLosslessRecord(len(e.losslessNames))
 	e.losslessViable.Store(true)
 	e.pressureBits.Store(math.Float64bits(1))
 	e.losslessMAB = newPolicy(cfg, len(e.losslessNames), 101, "bandit.online.lossless")
@@ -288,6 +291,7 @@ func (e *OnlineEngine) ProcessPrepared(prep *PreparedSegment) (Result, compress.
 		// MinRatio probes are target-independent and stay valid; the
 		// stale lossy decodes are recycled with the trials they served.
 		e.om.stalePrep()
+		e.om.specUnconsumed(len(prep.lossy))
 		for i := range prep.lossy {
 			prep.lossy[i].t.releaseDecoded()
 		}
@@ -386,7 +390,10 @@ func (e *OnlineEngine) tryLossless(target float64) bool {
 // processLossless attempts lossless compression under the target ratio.
 // Infeasibility is a property of the *best* lossless codec, not of one
 // exploratory pick, so on a miss the engine retries the remaining arms
-// before concluding the segment cannot be handled losslessly.
+// before concluding the segment cannot be handled losslessly. A re-probe
+// after lossless was found infeasible only asks whether it became
+// feasible again, so it retries only the arms losslessRecord.maskProbe
+// keeps.
 //
 // adaedge:decision-goroutine
 func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, prep *PreparedSegment, target float64, trials *decisionTrials) (Result, compress.Encoded, bool) {
@@ -396,6 +403,9 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, prep 
 		// phase is the degradation path, so skip without recording a
 		// viability failure (the data's compressibility did not change).
 		return Result{}, compress.Encoded{}, false
+	}
+	if target < 1 && !e.losslessViable.Load() {
+		e.om.probeElided(e.probe.maskProbe(allowed))
 	}
 	for remaining := len(e.losslessNames); remaining > 0; remaining-- {
 		arm := e.losslessMAB.Select(allowed)
@@ -414,9 +424,7 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, prep 
 			t = runLosslessTrial(codec, values)
 		}
 		trials.noteLossless(arm, t)
-		if prep != nil {
-			e.om.spec(ok)
-		}
+		prep.noteSpec(e, ok)
 		e.om.trial(name, t.dur)
 		e.om.spanTrial(trace, arm, name, cost)
 		// Inline trials that lose are recycled on the spot — unless the
@@ -424,6 +432,7 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, prep 
 		// trials after this loop and the buffers must outlive it.
 		// Prep-sourced trials are swept by ProcessPrepared instead.
 		recycle := !ok && trials == nil
+		e.probe.note(arm, t)
 		if t.err != nil {
 			e.losslessMAB.Update(arm, 0)
 			continue
@@ -500,9 +509,7 @@ func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, prep *Pr
 		t = runLossyTrial(codec.(compress.LossyCodec), values, target)
 	}
 	trials.noteLossy(arm, t)
-	if prep != nil {
-		e.om.spec(ok)
-	}
+	prep.noteSpec(e, ok)
 	e.om.trial(name, t.dur)
 	e.om.spanTrial(trace, arm, name, cost)
 	if t.err != nil {
@@ -531,6 +538,74 @@ func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, prep *Pr
 		SegmentID: id, Codec: name, Lossy: true, Ratio: t.enc.Ratio(),
 		Reward: reward, AccuracyLoss: e.eval.AccuracyLoss(obs), Duration: t.dur,
 	}, t.enc, nil
+}
+
+// losslessRecord is the state lossless re-probes plan from: each lossless
+// arm's last achieved ratio, updated on every lossless trial the decision
+// path runs (oracle shadow trials excluded), plus the arm the rotation
+// re-measures next. Decision goroutine only.
+type losslessRecord struct {
+	// ratio is the last achieved ratio per arm: unrunRatio before the
+	// arm's first trial, +Inf after a failed encode.
+	ratio []float64
+	// next is the rotating arm the next re-probe keeps.
+	next int
+}
+
+// unrunRatio marks an arm with no trial yet; real ratios are positive.
+const unrunRatio = -1
+
+func newLosslessRecord(arms int) losslessRecord {
+	r := losslessRecord{ratio: make([]float64, arms)}
+	for i := range r.ratio {
+		r.ratio[i] = unrunRatio
+	}
+	return r
+}
+
+// note records one lossless trial's outcome.
+//
+// adaedge:decision-goroutine
+func (r *losslessRecord) note(arm int, t losslessTrial) {
+	if t.err != nil {
+		r.ratio[arm] = math.Inf(1)
+		return
+	}
+	r.ratio[arm] = t.enc.Ratio()
+}
+
+// maskProbe narrows a re-probe's allowed arms to the ones that can
+// answer "does lossless meet the target again?": the arm with the lowest
+// recorded ratio, the rotating arm, and every arm never run (cold arms
+// are never skipped). Once every arm has run, a failed probe costs at
+// most two trials. The rotation advances every probe, so each arm is
+// re-measured at least once every len(arms) probes unless the deadline
+// gate masks it on its turn — a codec whose ratio improves on new data
+// is found within that many probes even if it is not the recorded best.
+// It returns how many allowed arms it masked out.
+//
+// adaedge:decision-goroutine
+func (r *losslessRecord) maskProbe(allowed []bool) int {
+	if len(r.ratio) == 0 {
+		return 0
+	}
+	best := -1
+	for arm, ok := range allowed {
+		if ok && r.ratio[arm] != unrunRatio && (best < 0 || r.ratio[arm] < r.ratio[best]) {
+			best = arm
+		}
+	}
+	rot := r.next
+	r.next = (r.next + 1) % len(r.ratio)
+	elided := 0
+	for arm, ok := range allowed {
+		if !ok || arm == best || arm == rot || r.ratio[arm] == unrunRatio {
+			continue
+		}
+		allowed[arm] = false
+		elided++
+	}
+	return elided
 }
 
 // losslessTrial is the outcome of one pure lossless codec attempt. buf is

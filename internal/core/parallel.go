@@ -48,6 +48,9 @@ type PreparedSegment struct {
 	minRatios []float64
 	// lossy memoizes trials by lossy arm index at target.
 	lossy []armLossyTrial
+	// consumed counts the speculated trials the decision path used;
+	// releaseTrials reports the rest as unconsumed.
+	consumed int
 }
 
 // armLosslessTrial pairs a lossless trial with the arm it speculates for.
@@ -99,19 +102,37 @@ func (p *PreparedSegment) lossyTrialFor(arm int) (lossyTrial, bool) {
 	return lossyTrial{}, false
 }
 
+// noteSpec records whether a trial the decision path needed was
+// speculated (a hit, now consumed) or recomputed inline. No-op on the
+// inline path.
+//
+// adaedge:decision-goroutine
+func (p *PreparedSegment) noteSpec(e *OnlineEngine, hit bool) {
+	if p == nil {
+		return
+	}
+	e.om.spec(hit)
+	if hit {
+		p.consumed++
+	}
+}
+
 // releaseTrials recycles every speculative buffer that did not escape
 // through the decision: losing lossless encodings return to the pool, the
 // winning lossless arm's wrapper is handed off (its bytes left with the
 // caller), and every lossy decode slice is recycled — the lossy winner's
 // encoding has no pooled wrapper, and its decode is only read inside
-// process. Must run after process returns: the oracle's observe pass is
-// the last reader of prepared trials. Idempotent.
+// process. Speculated trials the decision path never took are counted as
+// unconsumed. Must run after process returns: the oracle's observe pass
+// is the last reader of prepared trials. Idempotent.
 //
 // adaedge:decision-goroutine
 func (p *PreparedSegment) releaseTrials(e *OnlineEngine, res Result, err error) {
 	if p == nil {
 		return
 	}
+	e.om.specUnconsumed(len(p.lossless) + len(p.lossy) - p.consumed)
+	p.consumed = len(p.lossless) + len(p.lossy)
 	for i := range p.lossless {
 		at := &p.lossless[i]
 		if err == nil && !res.Lossy && e.losslessNames[at.arm] == res.Codec {

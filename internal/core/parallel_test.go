@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/datasets"
+	"repro/internal/obs"
 	"repro/internal/query"
 )
 
@@ -360,6 +361,42 @@ func TestPreparedSegmentStaleTargetRecovers(t *testing.T) {
 	}
 	if math.IsNaN(res.Reward) {
 		t.Fatal("NaN reward")
+	}
+}
+
+// TestSpeculationAccounting pins the speculation counters: every
+// speculated trial is either consumed by the decision path (a spec hit)
+// or released unconsumed, including the lossy trials a stale prepared
+// segment discards.
+func TestSpeculationAccounting(t *testing.T) {
+	ob := obs.New(64)
+	eng, err := NewOnlineEngine(Config{
+		TargetRatioOverride: 0.5, Objective: SingleTarget(TargetRatio), Seed: 29, Obs: ob,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	speculated := 0
+	for i, seg := range cbfSegments(t, 60, 98) {
+		prep := eng.PrepareSegment(seg.Values, seg.Label)
+		speculated += len(prep.lossless) + len(prep.lossy)
+		if i == 40 {
+			eng.RetargetRatio(0.1) // the prepared lossy trial goes stale
+		}
+		_, enc, err := eng.ProcessPrepared(prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		RecycleEncoded(enc)
+	}
+	reg := ob.Registry()
+	hits := reg.Counter("core.online.spec_hits").Value()
+	unconsumed := reg.Counter("core.online.spec_unconsumed").Value()
+	if unconsumed == 0 {
+		t.Fatal("no speculated trial went unconsumed; the accounting is not exercised")
+	}
+	if hits+unconsumed != int64(speculated) {
+		t.Fatalf("spec_hits %d + spec_unconsumed %d != %d speculated trials", hits, unconsumed, speculated)
 	}
 }
 

@@ -24,7 +24,9 @@ var MetricHelp = map[string]string{
 	"core.online.deadline_misses":          "chosen arm's cost-model encode+uplink latency exceeded the deadline after the fact",
 	"core.online.spec_hits":                "worker-speculated trials consumed as-is",
 	"core.online.spec_misses":              "speculated-path trials recomputed inline",
+	"core.online.spec_unconsumed":          "worker-speculated trials released without the decision consuming them",
 	"core.online.prepared_stale":           "prepared segments discarded because the target moved",
+	"core.online.probe_trials_elided":      "lossless arms a re-probe masked out (only the lowest-ratio, rotating and never-run arms are trialled)",
 	"core.online.effective_target":         "effective target ratio at the last decision",
 	"core.online.pressure":                 "uplink-pressure throttle at the last decision",
 	"core.online.compress_seconds.<codec>": "per-codec trial latency (LatencyBuckets)",
