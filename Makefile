@@ -49,10 +49,10 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke mirrors the CI fuzz job: every Fuzz* target in the
-# decoder-facing packages (and the bufownership analyzer, seeded with its
-# fixture corpus) gets $(FUZZTIME) of fuzzing.
+# decoder-facing packages and the disk readers (and the bufownership
+# analyzer, seeded with its fixture corpus) gets $(FUZZTIME) of fuzzing.
 fuzz-smoke:
-	@for pkg in ./internal/compress ./internal/transport ./internal/lint; do \
+	@for pkg in ./internal/compress ./internal/transport ./internal/store ./internal/lint; do \
 		targets=$$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); \
 		for t in $$targets; do \
 			echo "--- $$pkg $$t"; \

@@ -50,11 +50,6 @@ type (
 	Device = core.Device
 	// Pipeline fans online selection across workers (paper §V-C).
 	Pipeline = core.Pipeline
-	// OnlineParallel fans ONE stream's codec trials across workers while
-	// keeping selections byte-identical to the sequential run.
-	OnlineParallel = core.OnlineParallel
-	// PreparedSegment carries a segment with speculatively computed trials.
-	PreparedSegment = core.PreparedSegment
 	// LabeledSegment pairs segment values with a class label.
 	LabeledSegment = core.LabeledSegment
 	// Mux routes multiple signals to per-signal engines.
@@ -144,9 +139,8 @@ var (
 	NewDevice = core.NewDevice
 	// NewPipeline builds a multi-worker online pipeline.
 	NewPipeline = core.NewPipeline
-	// NewOnlineParallel wraps one engine in the single-stream pipeline.
-	NewOnlineParallel = core.NewOnlineParallel
-	// RunOnlineSegments processes a batch honoring Config.Workers.
+	// RunOnlineSegments processes a batch in order on the caller's
+	// goroutine.
 	RunOnlineSegments = core.RunOnlineSegments
 	// NewMux builds a multi-signal router.
 	NewMux = core.NewMux

@@ -28,8 +28,8 @@ type Policy interface {
 	// EstimatesInto copies the estimates into dst, reusing its backing
 	// array when it is large enough, and returns the filled slice. A
 	// right-sized dst makes the call allocation-free — the accessor hot
-	// paths (speculative preparation, regret oracles) poll estimates per
-	// segment and must not allocate under the policy lock.
+	// paths (regret oracles, snapshot readers) poll estimates per segment
+	// and must not allocate under the policy lock.
 	EstimatesInto(dst []float64) []float64
 	// RewardsInto copies the per-arm cumulative observed rewards into dst
 	// under the same reuse contract as EstimatesInto. Unlike Estimates,

@@ -12,7 +12,7 @@
 // scratch, the predictor updates in place over preallocated matrices,
 // and the policy reuses mutex-guarded selection scratch. Nothing reads
 // the wall clock or global RNG state — the nowallclock analyzer covers
-// this package — so seeded runs stay byte-identical at any worker count.
+// this package — so seeded runs stay byte-identical from run to run.
 package contextual
 
 import "math"

@@ -164,8 +164,8 @@ func (p *Policy) Update(arm int, reward float64) {
 
 // Estimates implements bandit.Policy. The estimates are the empirical
 // values only — priors are a per-segment quantity and never leak into
-// the cross-segment estimate accessors the speculation and oracle
-// layers read.
+// the cross-segment estimate accessors the oracle and snapshot readers
+// use.
 func (p *Policy) Estimates() []float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

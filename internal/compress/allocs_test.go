@@ -6,7 +6,7 @@ import (
 )
 
 // Steady-state allocation pins for the bit-kernel codecs. These four sit
-// under every speculative trial the online evaluator runs, so a single
+// under every codec trial the online evaluator runs, so a single
 // stray allocation per Encode/Decode multiplies across arms × segments.
 // The contract: after one warm-up call has sized the caller-owned scratch,
 // CompressInto and DecompressInto allocate nothing.

@@ -29,7 +29,7 @@ func (b buffCore) encode(values []float64, dropLimit int) (Encoded, error) {
 // encodeInto appends the encoding to dst[:0]. The quantization runs twice —
 // once for the min/max scan, once while packing — trading a handful of
 // rounds per point for dropping the per-segment int64 staging slice, which
-// is what keeps the speculative trial loop allocation-free.
+// is what keeps the online trial loop allocation-free.
 func (b buffCore) encodeInto(dst []byte, values []float64, dropLimit int) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput

@@ -50,8 +50,8 @@ type Codec interface {
 
 // IntoCodec is a codec whose hot paths can reuse caller-owned buffers,
 // mirroring the EstimatesInto append idiom in internal/bandit. The bit-kernel
-// codecs (Gorilla, Chimp, Sprintz, BUFF) implement it so the speculative
-// trial loop can run allocation-free in steady state.
+// codecs (Gorilla, Chimp, Sprintz, BUFF) implement it so the online
+// engine's trial loop can run allocation-free in steady state.
 //
 // Buffer ownership: CompressInto appends the encoding to dst[:0] and the
 // returned Encoded.Data aliases dst's backing array (or a growth of it) —
@@ -122,11 +122,11 @@ var (
 // Registry holds the codec candidate set C the bandit selects from.
 //
 // Concurrency contract: lookups are read-mostly and guarded by an RWMutex,
-// so any number of goroutines (parallel codec-trial workers, transport
+// so any number of goroutines (oracle shadow trials, transport
 // receivers) may Lookup/Names/Decompress concurrently, including alongside
 // a late Register. Codec instances themselves must be stateless across
 // calls — every implementation in this package is — since one instance
-// serves all workers.
+// serves all of them.
 type Registry struct {
 	mu     sync.RWMutex
 	codecs map[string]Codec // guarded by mu

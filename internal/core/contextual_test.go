@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -14,7 +13,7 @@ import (
 
 // ctxEngine builds an instrumented online engine with the contextual
 // policy, the quality oracle and an optional deadline.
-func ctxEngine(t *testing.T, workers int, deadline time.Duration, o *obs.Observer) *OnlineEngine {
+func ctxEngine(t *testing.T, deadline time.Duration, o *obs.Observer) *OnlineEngine {
 	t.Helper()
 	eng, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 0.15,
@@ -22,7 +21,6 @@ func ctxEngine(t *testing.T, workers int, deadline time.Duration, o *obs.Observe
 		BanditPolicy:        "contextual",
 		Deadline:            deadline,
 		Seed:                42,
-		Workers:             workers,
 		Obs:                 o,
 		Quality:             &quality.Config{SampleEvery: 4},
 	})
@@ -44,11 +42,11 @@ func ctxSegments(n int) []LabeledSegment {
 
 // ctxTraceRun processes n CBF segments through a contextual engine and
 // returns the full decision trace plus the final stats.
-func ctxTraceRun(t *testing.T, workers, n int, deadline time.Duration) ([]obs.Event, OnlineStats) {
+func ctxTraceRun(t *testing.T, n int, deadline time.Duration) ([]obs.Event, OnlineStats) {
 	t.Helper()
 	o := obs.New(1 << 16)
-	eng := ctxEngine(t, workers, deadline, o)
-	if _, err := RunOnlineSegments(context.Background(), eng, ctxSegments(n)); err != nil {
+	eng := ctxEngine(t, deadline, o)
+	if _, err := RunOnlineSegments(eng, ctxSegments(n)); err != nil {
 		t.Fatal(err)
 	}
 	if d := o.Ring().Dropped(); d != 0 {
@@ -60,12 +58,12 @@ func ctxTraceRun(t *testing.T, workers, n int, deadline time.Duration) ([]obs.Ev
 // TestContextualTraceDeterministic extends the §9 invariant to the
 // contextual layer: features, predictions, priors, deadline gating and
 // the quality.contextual events are all pure functions of the seeded
-// segment stream, so the full trace is byte-identical across reruns and
-// worker counts.
+// segment stream, so the full trace and the stats are byte-identical
+// across reruns.
 func TestContextualTraceDeterministic(t *testing.T) {
 	const segments = 80
 	const deadline = 20 * time.Microsecond
-	base, stats := ctxTraceRun(t, 1, segments, deadline)
+	base, stats := ctxTraceRun(t, segments, deadline)
 	if len(base) == 0 {
 		t.Fatal("instrumented contextual run emitted no trace events")
 	}
@@ -82,26 +80,22 @@ func TestContextualTraceDeterministic(t *testing.T) {
 		t.Fatalf("deadline violations = %d, want 0", stats.DeadlineViolations)
 	}
 
-	again, _ := ctxTraceRun(t, 1, segments, deadline)
+	again, againStats := ctxTraceRun(t, segments, deadline)
 	if !reflect.DeepEqual(base, again) {
-		t.Fatal("same-seed sequential contextual runs produced different traces")
+		t.Fatal("same-seed contextual runs produced different traces")
 	}
-	par, parStats := ctxTraceRun(t, 4, segments, deadline)
-	if !reflect.DeepEqual(base, par) {
-		t.Fatal("Workers: 4 contextual trace differs from Workers: 1")
-	}
-	if !reflect.DeepEqual(stats, parStats) {
-		t.Fatalf("Workers: 4 stats differ:\n%+v\n%+v", stats, parStats)
+	if !reflect.DeepEqual(stats, againStats) {
+		t.Fatalf("same-seed contextual runs produced different stats:\n%+v\n%+v", stats, againStats)
 	}
 }
 
-// TestContextualWithoutDeadlineMatchesAcrossWorkers pins the plain
+// TestContextualWithoutDeadlineMatchesAcrossRuns pins the plain
 // contextual policy (no gate) to the same determinism contract.
-func TestContextualWithoutDeadlineMatchesAcrossWorkers(t *testing.T) {
-	base, _ := ctxTraceRun(t, 1, 60, 0)
-	par, _ := ctxTraceRun(t, 4, 60, 0)
-	if !reflect.DeepEqual(base, par) {
-		t.Fatal("contextual (no deadline) trace differs across worker counts")
+func TestContextualWithoutDeadlineMatchesAcrossRuns(t *testing.T) {
+	base, _ := ctxTraceRun(t, 60, 0)
+	again, _ := ctxTraceRun(t, 60, 0)
+	if !reflect.DeepEqual(base, again) {
+		t.Fatal("contextual (no deadline) trace differs between same-seed runs")
 	}
 }
 
@@ -119,8 +113,8 @@ func TestDeadlineGateNeverViolates(t *testing.T) {
 		200 * time.Nanosecond, // nothing fits: pure fallback regime
 	} {
 		o := obs.New(1 << 16)
-		eng := ctxEngine(t, 1, d, o)
-		results, err := RunOnlineSegments(context.Background(), eng, ctxSegments(segments))
+		eng := ctxEngine(t, d, o)
+		results, err := RunOnlineSegments(eng, ctxSegments(segments))
 		if err != nil {
 			t.Fatalf("deadline %v: %v", d, err)
 		}
@@ -144,8 +138,8 @@ func TestDeadlineGateNeverViolates(t *testing.T) {
 // fastest-predicted fallback (with misses recorded) instead of failing.
 func TestDeadlineTightForcesFallback(t *testing.T) {
 	o := obs.New(1 << 16)
-	eng := ctxEngine(t, 1, 200*time.Nanosecond, o)
-	if _, err := RunOnlineSegments(context.Background(), eng, ctxSegments(60)); err != nil {
+	eng := ctxEngine(t, 200*time.Nanosecond, o)
+	if _, err := RunOnlineSegments(eng, ctxSegments(60)); err != nil {
 		t.Fatal(err)
 	}
 	stats := eng.Stats()
@@ -185,7 +179,7 @@ func TestDeadlineWorksUnderPlainPolicy(t *testing.T) {
 	if eng.ctx == nil {
 		t.Fatal("Deadline alone did not build the contextual layer")
 	}
-	results, err := RunOnlineSegments(context.Background(), eng, ctxSegments(50))
+	results, err := RunOnlineSegments(eng, ctxSegments(50))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -11,17 +10,15 @@ import (
 )
 
 // traceRun processes n CBF segments through an instrumented online engine
-// at the given worker count and returns the complete decision-trace
-// stream: core decision events interleaved with the bandit select/update
+// and returns the complete decision-trace stream: core decision events interleaved with the bandit select/update
 // events, all emitted on the single decision goroutine.
-func traceRun(t *testing.T, workers, n int) []obs.Event {
+func traceRun(t *testing.T, n int) []obs.Event {
 	t.Helper()
 	o := obs.New(1 << 16)
 	eng, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 0.15,
 		Objective:           AggTarget(query.Max),
 		Seed:                42,
-		Workers:             workers,
 		Obs:                 o,
 	})
 	if err != nil {
@@ -33,7 +30,7 @@ func traceRun(t *testing.T, workers, n int) []obs.Event {
 		v, label := stream.Next()
 		segs[i] = LabeledSegment{Values: v, Label: label}
 	}
-	if _, err := RunOnlineSegments(context.Background(), eng, segs); err != nil {
+	if _, err := RunOnlineSegments(eng, segs); err != nil {
 		t.Fatal(err)
 	}
 	if d := o.Ring().Dropped(); d != 0 {
@@ -45,11 +42,10 @@ func traceRun(t *testing.T, workers, n int) []obs.Event {
 // TestDecisionTraceDeterministic pins the §9 event-model invariant: the
 // decision trace carries no wall-clock fields and is emitted in decision
 // order on one goroutine, so a seeded run reproduces the identical event
-// sequence — including at Workers > 1, where codec trials race freely
-// but decisions stay serialized (DESIGN.md §7).
+// sequence (DESIGN.md §7).
 func TestDecisionTraceDeterministic(t *testing.T) {
 	const segments = 80
-	base := traceRun(t, 1, segments)
+	base := traceRun(t, segments)
 	if len(base) == 0 {
 		t.Fatal("instrumented run emitted no trace events")
 	}
@@ -71,11 +67,8 @@ func TestDecisionTraceDeterministic(t *testing.T) {
 		t.Fatal("no bandit select/update events in the trace")
 	}
 
-	if again := traceRun(t, 1, segments); !reflect.DeepEqual(base, again) {
-		t.Fatal("same-seed sequential runs produced different traces")
-	}
-	if par := traceRun(t, 4, segments); !reflect.DeepEqual(base, par) {
-		t.Fatal("Workers: 4 trace differs from Workers: 1 — decisions leaked off the sequencer")
+	if again := traceRun(t, segments); !reflect.DeepEqual(base, again) {
+		t.Fatal("same-seed runs produced different traces")
 	}
 }
 

@@ -23,9 +23,7 @@ import (
 // Concurrency contract: Ingest (and Query/QuerySegment, which reorder the
 // recoding policy) must run on a single goroutine at a time. Stats,
 // Snapshot, Clock, Storage and Energy are safe to poll concurrently with
-// ingestion. With Config.Workers > 1 the recoder fans each victim's
-// candidate codec trials out across goroutines internally; decisions stay
-// serialized, so results are identical to Workers: 1 (see DESIGN.md §7).
+// ingestion (see DESIGN.md §7).
 type OfflineEngine struct {
 	cfg  Config
 	reg  *compress.Registry
@@ -349,28 +347,12 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	virtual := false
 	switch {
 	case anyAllowed:
-		// With Workers > 1, trial every allowed arm concurrently before the
-		// bandit commits. Trials are pure, the selection below ignores
-		// them, and only the chosen arm's trial is consumed, so outcomes
-		// and energy accounting match the sequential path exactly; the
-		// speculation bounds recode latency by the slowest single trial
-		// instead of the chosen one and overlaps the decode with probes.
-		var spec map[int]recodeTrial
-		if e.cfg.Workers > 1 {
-			var dec []float64
-			spec, dec = e.speculateRecodeTrials(victim, allowed, target, values)
-			if values == nil && dec != nil {
-				values = dec
-			}
-		}
 		arm := mab.Select(allowed)
 		codecName = e.lossyNames[arm]
 		c, _ := e.reg.Lookup(codecName)
 		lc := c.(compress.LossyCodec)
 		var err error
-		if t, ok := spec[arm]; ok {
-			newEnc, err, virtual = t.enc, t.err, t.virtual
-		} else if rec, ok := lc.(compress.Recoder); ok && victim.Enc.Codec == codecName {
+		if rec, ok := lc.(compress.Recoder); ok && victim.Enc.Codec == codecName {
 			// Virtual decompression: same-codec direct recode (§IV-E).
 			newEnc, err = rec.Recode(victim.Enc, target)
 			virtual = true
@@ -442,90 +424,6 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 		e.om.recoded(victim.ID, lc.Name(), fallbackTarget, newEnc.Ratio(), 0, e.storage.Utilization(), virtual, true, start)
 		return true, nil
 	}
-}
-
-// recodeTrial is one speculative recode candidate: the encoding an arm
-// would commit, or the error it would hit.
-type recodeTrial struct {
-	enc     compress.Encoded
-	err     error
-	virtual bool
-}
-
-// speculateRecodeTrials concurrently computes every allowed arm's recode
-// candidate for victim at target, bounded by Config.Workers goroutines.
-// Arms whose codec matches the stored representation use the virtual
-// §IV-E path; the rest share a single decode of the stored bytes (returned
-// so the caller can reuse it). A decode failure surfaces as each dependent
-// arm's trial error — exactly where the sequential path would hit it.
-func (e *OfflineEngine) speculateRecodeTrials(victim *store.Entry, allowed []bool, target float64, cached []float64) (map[int]recodeTrial, []float64) {
-	var armIdx []int
-	needDecode := false
-	for i, name := range e.lossyNames {
-		if !allowed[i] {
-			continue
-		}
-		armIdx = append(armIdx, i)
-		c, _ := e.reg.Lookup(name)
-		if _, ok := c.(compress.Recoder); !ok || victim.Enc.Codec != name {
-			needDecode = true
-		}
-	}
-	if len(armIdx) == 0 {
-		return nil, nil
-	}
-	decoded := cached
-	var decodeErr error
-	if needDecode && decoded == nil {
-		// Same scratch as recodeEntry's decode: at most one of the two
-		// runs per victim, and the caller adopts this decode as its
-		// cached values, so the lifetimes never overlap.
-		decoded, decodeErr = e.reg.DecompressInto(e.recodeDec[:0], victim.Enc)
-		if decodeErr == nil {
-			e.recodeDec = decoded
-		}
-	}
-	trials := make([]recodeTrial, len(e.lossyNames))
-	workers := e.cfg.Workers
-	if workers > len(armIdx) {
-		workers = len(armIdx)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				name := e.lossyNames[i]
-				c, _ := e.reg.Lookup(name)
-				lc := c.(compress.LossyCodec)
-				switch rec, ok := lc.(compress.Recoder); {
-				case ok && victim.Enc.Codec == name:
-					enc, err := rec.Recode(victim.Enc, target)
-					trials[i] = recodeTrial{enc: enc, err: err, virtual: true}
-				case decodeErr != nil:
-					trials[i] = recodeTrial{err: decodeErr}
-				default:
-					enc, err := lc.CompressRatio(decoded, target)
-					trials[i] = recodeTrial{enc: enc, err: err}
-				}
-			}
-		}()
-	}
-	for _, i := range armIdx {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	out := make(map[int]recodeTrial, len(armIdx))
-	for _, i := range armIdx {
-		out[i] = trials[i]
-	}
-	if decodeErr != nil {
-		decoded = nil
-	}
-	return out, decoded
 }
 
 // scoreRecode evaluates the recoded representation against the ground

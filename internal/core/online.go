@@ -19,13 +19,12 @@ import (
 // R is infeasible losslessly, a dedicated lossy-selection bandit takes
 // over, optimizing the workload target.
 //
-// Concurrency contract: Process and ProcessPrepared mutate bandit and
-// accounting state and must be called from a single goroutine at a time
-// (the "decision goroutine"). PrepareSegment is read-only and safe to call
-// from any number of goroutines concurrently with the decision goroutine —
-// that split is what OnlineParallel exploits. Stats, LossyEstimates and
-// LosslessEstimates may be polled concurrently with processing.
-// Retarget/RetargetRatio must not race with in-flight processing.
+// Concurrency contract: Process mutates bandit and accounting state and
+// must be called from a single goroutine at a time (the "decision
+// goroutine"). Stats, LossyEstimates and LosslessEstimates may be polled
+// concurrently with processing, and Degrade may be called from any
+// goroutine. Retarget/RetargetRatio must not race with in-flight
+// processing.
 type OnlineEngine struct {
 	cfg         Config
 	reg         *compress.Registry
@@ -42,8 +41,9 @@ type OnlineEngine struct {
 	sinceProbe    int
 	// probe plans lossless re-probes from each arm's last achieved ratio.
 	probe losslessRecord
-	// losslessViable is written by the decision goroutine and read by
-	// PrepareSegment workers as a prediction hint, hence atomic.
+	// losslessViable is read and written by the decision goroutine, but a
+	// loosening Degrade also sets it from the uplink's spool-watcher
+	// goroutine, hence atomic.
 	losslessViable atomic.Bool
 	// pressureBits holds the uplink-pressure throttle in (0,1] as float64
 	// bits. The resilient uplink's spool watcher calls Degrade from its
@@ -244,9 +244,6 @@ func (e *OnlineEngine) RetargetRatio(ratio float64) {
 	e.sinceProbe = 0
 }
 
-// Workers returns the configured codec-trial parallelism.
-func (e *OnlineEngine) Workers() int { return e.cfg.Workers }
-
 // Stats returns a copy of the stream statistics. Safe to call while
 // another goroutine is processing segments; the returned CodecUse map is
 // a private copy.
@@ -270,56 +267,14 @@ const ratioSlack = 1e-9
 //
 // adaedge:decision-goroutine
 func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.Encoded, error) {
-	return e.process(values, nil)
-}
-
-// ProcessPrepared is Process consuming speculative codec trials computed
-// by PrepareSegment, typically on another goroutine. Decisions (bandit
-// selection, rewards, energy, stats) are made here, in call order, exactly
-// as Process would make them; cached trials only shortcut the pure codec
-// work, so the outcome is identical to Process on the same values. Trials
-// prepared under a stale target ratio are discarded and recomputed inline.
-//
-// adaedge:decision-goroutine
-func (e *OnlineEngine) ProcessPrepared(prep *PreparedSegment) (Result, compress.Encoded, error) {
-	if prep == nil {
-		return Result{}, compress.Encoded{}, compress.ErrEmptyInput
-	}
-	if prep.target != e.EffectiveTarget() {
-		// Retarget (or a pressure change) happened after preparation:
-		// lossy trials assumed the old ratio. Lossless trials and
-		// MinRatio probes are target-independent and stay valid; the
-		// stale lossy decodes are recycled with the trials they served.
-		e.om.stalePrep()
-		e.om.specUnconsumed(len(prep.lossy))
-		for i := range prep.lossy {
-			prep.lossy[i].t.releaseDecoded()
-		}
-		prep = &PreparedSegment{
-			values:    prep.values,
-			label:     prep.label,
-			target:    e.EffectiveTarget(),
-			lossless:  prep.lossless,
-			minRatios: prep.minRatios,
-		}
-	}
-	res, enc, err := e.process(prep.values, prep)
-	prep.releaseTrials(e, res, err)
-	return res, enc, err
-}
-
-// process is the shared decision path. prep may be nil (fully inline).
-//
-// adaedge:decision-goroutine
-func (e *OnlineEngine) process(values []float64, prep *PreparedSegment) (Result, compress.Encoded, error) {
 	if len(values) == 0 {
 		return Result{}, compress.Encoded{}, compress.ErrEmptyInput
 	}
 	if e.energy.Exhausted() {
 		return Result{}, compress.Encoded{}, ErrEnergyExhausted
 	}
-	// Parked decode buffers (the inline lossy winner's) are safe to
-	// recycle only after the oracle's observe pass; flush on every exit.
+	// The parked decode buffer (the lossy winner's) is safe to recycle
+	// only after the oracle's observe pass; flush on every exit.
 	defer e.scr.flushDec()
 	id := e.nextID
 	e.nextID++
@@ -346,23 +301,23 @@ func (e *OnlineEngine) process(values []float64, prep *PreparedSegment) (Result,
 	// Phase 1: lossless, preferred whenever it can meet R (paper: "We
 	// choose the best lossless compression by default").
 	if e.tryLossless(target) {
-		res, enc, ok := e.processLossless(id, trace, values, prep, target, trials)
+		res, enc, ok := e.processLossless(id, trace, values, target, trials)
 		if ok {
 			e.account(res)
 			e.om.decision(res, target, e.Pressure())
-			e.qo.observe(e, res, values, prep, trials, target)
+			e.qo.observe(e, res, values, trials, target)
 			return res, enc, nil
 		}
 	}
 
 	// Phase 2: lossy selection toward the target ratio.
-	res, enc, err := e.processLossy(id, trace, values, prep, target, trials)
+	res, enc, err := e.processLossy(id, trace, values, target, trials)
 	if err != nil {
 		return Result{}, compress.Encoded{}, err
 	}
 	e.account(res)
 	e.om.decision(res, target, e.Pressure())
-	e.qo.observe(e, res, values, prep, trials, target)
+	e.qo.observe(e, res, values, trials, target)
 	return res, enc, nil
 }
 
@@ -396,7 +351,7 @@ func (e *OnlineEngine) tryLossless(target float64) bool {
 // keeps.
 //
 // adaedge:decision-goroutine
-func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, prep *PreparedSegment, target float64, trials *decisionTrials) (Result, compress.Encoded, bool) {
+func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, target float64, trials *decisionTrials) (Result, compress.Encoded, bool) {
 	allowed := e.scr.boolMask(len(e.losslessNames), true)
 	if !e.ctx.maskLossless(allowed) {
 		// Every lossless arm misses the predicted deadline; the lossy
@@ -418,20 +373,15 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, prep 
 		// the same cost-model duration advances the span's virtual time.
 		cost := e.costFn("encode", name, len(values))
 		e.energy.Charge(cost)
-		t, ok := prep.losslessTrial(arm)
-		if !ok {
-			codec, _ := e.reg.Lookup(name)
-			t = runLosslessTrial(codec, values)
-		}
+		codec, _ := e.reg.Lookup(name)
+		t := runLosslessTrial(codec, values)
 		trials.noteLossless(arm, t)
-		prep.noteSpec(e, ok)
 		e.om.trial(name, t.dur)
 		e.om.spanTrial(trace, arm, name, cost)
-		// Inline trials that lose are recycled on the spot — unless the
-		// oracle sampled this decision, in which case it reads the noted
-		// trials after this loop and the buffers must outlive it.
-		// Prep-sourced trials are swept by ProcessPrepared instead.
-		recycle := !ok && trials == nil
+		// Trials that lose are recycled on the spot — unless the oracle
+		// sampled this decision, in which case it reads the noted trials
+		// after this loop and the buffers must outlive it.
+		recycle := trials == nil
 		e.probe.note(arm, t)
 		if t.err != nil {
 			e.losslessMAB.Update(arm, 0)
@@ -450,19 +400,18 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, prep 
 		}
 		e.losslessFails = 0
 		e.losslessViable.Store(true)
-		if !ok {
-			// The winning encoding escapes with the return; park its
-			// wrapper for RecycleEncoded. Prep-sourced winners are
-			// handed off by the ProcessPrepared sweep.
-			t.handOff()
-		}
 		e.ctx.chosen(id, arm, len(values), false, ratio)
 		e.om.spanSelect(trace, arm, name)
 		e.om.spanEncode(trace, arm, name, ratio)
-		return Result{
+		res := Result{
 			SegmentID: id, Codec: name, Lossy: false, Ratio: ratio,
 			Reward: 1 - minf(ratio, 1), Duration: t.dur,
-		}, t.enc, true
+		}
+		enc := t.enc
+		// The winning encoding escapes with the return; park its wrapper
+		// for RecycleEncoded.
+		t.handOff()
+		return res, enc, true
 	}
 	e.losslessFails++
 	if e.losslessFails >= 2 {
@@ -474,19 +423,12 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, prep 
 // processLossy runs the lossy-selection phase toward the target ratio.
 //
 // adaedge:decision-goroutine
-func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, prep *PreparedSegment, target float64, trials *decisionTrials) (Result, compress.Encoded, error) {
+func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, target float64, trials *decisionTrials) (Result, compress.Encoded, error) {
 	allowed := e.scr.boolMask(len(e.lossyNames), false)
 	feasible := false
-	minRatios := prep.minRatioProbes()
 	for i, name := range e.lossyNames {
-		mr := 0.0
-		if minRatios != nil {
-			mr = minRatios[i]
-		} else {
-			c, _ := e.reg.Lookup(name)
-			mr = c.(compress.LossyCodec).MinRatio(values)
-		}
-		if mr <= target {
+		c, _ := e.reg.Lookup(name)
+		if c.(compress.LossyCodec).MinRatio(values) <= target {
 			allowed[i] = true
 			feasible = true
 		}
@@ -503,13 +445,9 @@ func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, prep *Pr
 	cost := e.costFn("encode", name, len(values))
 	e.energy.Charge(cost)
 
-	t, ok := prep.lossyTrialFor(arm)
-	if !ok {
-		codec, _ := e.reg.Lookup(name)
-		t = runLossyTrial(codec.(compress.LossyCodec), values, target)
-	}
+	codec, _ := e.reg.Lookup(name)
+	t := runLossyTrial(codec.(compress.LossyCodec), values, target)
 	trials.noteLossy(arm, t)
-	prep.noteSpec(e, ok)
 	e.om.trial(name, t.dur)
 	e.om.spanTrial(trace, arm, name, cost)
 	if t.err != nil {
@@ -520,13 +458,10 @@ func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, prep *Pr
 		e.lossyMAB.Update(arm, 0)
 		return Result{}, compress.Encoded{}, t.decErr
 	}
-	if !ok {
-		// The decode slice feeds the observation below and, on sampled
-		// decisions, the oracle's observe pass; process releases it at
-		// the very end. Prep-sourced decodes are swept by
-		// ProcessPrepared instead.
-		e.scr.parkDec(t.dec)
-	}
+	// The decode slice feeds the observation below and, on sampled
+	// decisions, the oracle's observe pass; Process releases it at the
+	// very end.
+	e.scr.parkDec(t.dec)
 	obs := Observation{Raw: values, Decoded: t.decoded, CompressedBytes: t.enc.Size(), Duration: t.dur}
 	reward := e.eval.Reward(obs)
 	e.lossyMAB.Update(arm, reward)

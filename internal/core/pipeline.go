@@ -17,7 +17,9 @@ type LabeledSegment struct {
 // successfully managed an ingestion rate of approximately 8 million points
 // per second using 8 threads"). Each worker owns an independent engine —
 // sharing nothing, as concurrent sensors' signals are independent — and
-// stats are merged at the end.
+// stats are merged at the end. Together with OfflineRunner it is the only
+// concurrency around an engine: a single stream's decisions always run on
+// one goroutine.
 type Pipeline struct {
 	engines []*OnlineEngine
 	jobs    chan LabeledSegment
@@ -116,3 +118,25 @@ func (p *Pipeline) Stats() OnlineStats {
 
 // Workers returns the number of workers.
 func (p *Pipeline) Workers() int { return len(p.engines) }
+
+// RunOnlineSegments pushes segments through eng in order on the calling
+// goroutine, which is the decision goroutine for the whole batch. Results
+// come back in input order; failed segments hold a zero Result. The first
+// error is returned after the whole stream has been attempted.
+//
+// adaedge:decision-goroutine
+func RunOnlineSegments(eng *OnlineEngine, segs []LabeledSegment) ([]Result, error) {
+	results := make([]Result, 0, len(segs))
+	var first error
+	for _, s := range segs {
+		res, enc, err := eng.Process(s.Values, s.Label)
+		if err != nil && first == nil {
+			first = err
+		}
+		results = append(results, res)
+		// Only the Result survives this loop; hand the encoding's buffer
+		// back so steady-state segments allocate nothing.
+		RecycleEncoded(enc)
+	}
+	return results, first
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -14,14 +13,13 @@ import (
 // qualityTraceRun is traceRun with the decision-quality oracle attached:
 // the returned stream interleaves core decisions, bandit events and the
 // oracle's regret events, all on the decision goroutine.
-func qualityTraceRun(t *testing.T, workers, n int) []obs.Event {
+func qualityTraceRun(t *testing.T, n int) []obs.Event {
 	t.Helper()
 	o := obs.New(1 << 16)
 	eng, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 0.15,
 		Objective:           AggTarget(query.Max),
 		Seed:                42,
-		Workers:             workers,
 		Obs:                 o,
 		Quality:             &quality.Config{SampleEvery: 4},
 	})
@@ -34,7 +32,7 @@ func qualityTraceRun(t *testing.T, workers, n int) []obs.Event {
 		v, label := stream.Next()
 		segs[i] = LabeledSegment{Values: v, Label: label}
 	}
-	if _, err := RunOnlineSegments(context.Background(), eng, segs); err != nil {
+	if _, err := RunOnlineSegments(eng, segs); err != nil {
 		t.Fatal(err)
 	}
 	if d := o.Ring().Dropped(); d != 0 {
@@ -45,14 +43,14 @@ func qualityTraceRun(t *testing.T, workers, n int) []obs.Event {
 
 // TestQualityTraceDeterministic extends the §9 determinism invariant to
 // the regret oracle: with quality observability enabled, a seeded run
-// still reproduces the identical event stream at any worker count. This
-// is the property the oracle's design defends — its candidate set and
-// rewards are pure functions of the decision inputs, so reusing
-// speculative trials (hit rates vary with timing) versus shadow-computing
-// them cannot change the emitted regret.
+// still reproduces the identical event stream. This is the property the
+// oracle's design defends — its candidate set and rewards are pure
+// functions of the decision inputs, so reusing decision-path trials
+// versus shadow-computing them (on goroutines that finish in any order)
+// cannot change the emitted regret.
 func TestQualityTraceDeterministic(t *testing.T) {
 	const segments = 80
-	base := qualityTraceRun(t, 1, segments)
+	base := qualityTraceRun(t, segments)
 	regrets := 0
 	for _, ev := range base {
 		if ev.Source == "quality.online" {
@@ -69,11 +67,8 @@ func TestQualityTraceDeterministic(t *testing.T) {
 	if want := segments / 4; regrets != want {
 		t.Fatalf("regret events = %d, want %d", regrets, want)
 	}
-	if again := qualityTraceRun(t, 1, segments); !reflect.DeepEqual(base, again) {
-		t.Fatal("same-seed sequential runs produced different traces with quality enabled")
-	}
-	if par := qualityTraceRun(t, 4, segments); !reflect.DeepEqual(base, par) {
-		t.Fatal("Workers: 4 trace differs from Workers: 1 with quality enabled")
+	if again := qualityTraceRun(t, segments); !reflect.DeepEqual(base, again) {
+		t.Fatal("same-seed runs produced different traces with quality enabled")
 	}
 }
 

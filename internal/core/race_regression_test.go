@@ -9,13 +9,13 @@ import (
 	"repro/internal/query"
 )
 
-// Regression tests for data races latent in the pre-parallel code and
-// surfaced by this PR's -race sweep. The seed's Stats() returned struct
-// copies whose maps (CodecUse, LosslessUse, LossyUse) were the engine's
-// live maps, so any monitor polling stats while segments flowed raced
-// with the accounting writes. Same story for the offline accLoss cache
-// read by Snapshot(). Stats now deep-copies under a mutex; these tests
-// fail under -race against the old code.
+// Regression tests for data races in the engines' cross-goroutine
+// surface. Stats() once returned struct copies whose maps (CodecUse,
+// LosslessUse, LossyUse) were the engine's live maps, so any monitor
+// polling stats while segments flowed raced with the accounting writes.
+// Same story for the offline accLoss cache read by Snapshot(). Stats now
+// deep-copies under a mutex; these tests fail under -race against the
+// old code.
 
 // TestOnlineStatsPollRace polls Stats and both estimate maps from monitor
 // goroutines while the engine processes segments.
@@ -97,21 +97,18 @@ func TestOnlineStatsSnapshotIsolated(t *testing.T) {
 
 // TestOnlineSnapshotMutateWhileRunning goes one step beyond polling: the
 // monitors actively WRITE to every map a snapshot accessor returns while
-// the parallel pipeline is deciding segments. If any accessor ever leaks
-// a live engine map again, -race flags the write against the accounting
+// the engine is deciding segments. If any accessor ever leaks a live
+// engine map again, -race flags the write against the accounting
 // goroutine immediately.
 func TestOnlineSnapshotMutateWhileRunning(t *testing.T) {
 	eng, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 0.2,
 		Objective:           SingleTarget(TargetRatio),
 		Seed:                53,
-		Workers:             4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := NewOnlineParallel(eng, 0)
-	par.Start(context.Background())
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -145,10 +142,9 @@ func TestOnlineSnapshotMutateWhileRunning(t *testing.T) {
 	const segments = 150
 	for i := 0; i < segments; i++ {
 		v, label := stream.Next()
-		par.Submit(v, label)
-	}
-	if err := par.Close(); err != nil {
-		t.Fatal(err)
+		if _, _, err := eng.Process(v, label); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -165,6 +161,59 @@ func TestOnlineSnapshotMutateWhileRunning(t *testing.T) {
 	}
 	if sum != segments {
 		t.Fatalf("codec-use sum = %d, want %d (mutations corrupted the engine)", sum, segments)
+	}
+}
+
+// TestOnlineDegradeRace drives the one engine write that legitimately
+// comes from another goroutine: the resilient uplink's spool watcher
+// calls Degrade while the decision goroutine runs Process. Degrade swaps
+// the pressure throttle and, when it loosens, re-arms losslessViable, so
+// both must stay atomic; -race flags either one turning into a plain
+// field.
+func TestOnlineDegradeRace(t *testing.T) {
+	eng, err := NewOnlineEngine(Config{
+		TargetRatioOverride: 0.3,
+		Objective:           SingleTarget(TargetRatio),
+		Seed:                59,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// Alternate tightening and restoring, so Degrade writes both the
+		// throttle and (on every restore) losslessViable.
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				eng.Degrade(0.5)
+			} else {
+				eng.Degrade(1)
+			}
+		}
+	}()
+	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 103})
+	const segments = 150
+	for i := 0; i < segments; i++ {
+		v, label := stream.Next()
+		if _, _, err := eng.Process(v, label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	st := eng.Stats()
+	if st.Segments != segments {
+		t.Fatalf("Segments = %d, want %d", st.Segments, segments)
+	}
+	if st.LosslessSegments+st.LossySegments != segments {
+		t.Fatalf("lossless %d + lossy %d != %d", st.LosslessSegments, st.LossySegments, segments)
 	}
 }
 

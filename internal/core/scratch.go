@@ -6,7 +6,7 @@ import (
 	"repro/internal/compress"
 )
 
-// Trial-buffer recycling for the speculative evaluator loop.
+// Trial-buffer recycling for the decision loop.
 //
 // Every segment decision runs up to a dozen codec trials; before this pass
 // each trial allocated its encode buffer (and, for lossy arms, a decode
@@ -17,12 +17,14 @@ import (
 //
 // Ownership rules (DESIGN.md §10):
 //
-//   - A trial's buffers belong to the trial until it is released. Release
-//     happens at exactly one site per trial: inline losers are released in
-//     the decision loop (only when the decision is not oracle-sampled —
-//     the oracle reads noted trials later in the same process call), and
-//     prepared trials are swept by ProcessPrepared after the decision and
-//     the oracle's observe pass are both complete.
+//   - A trial's buffers belong to the trial until it is released. Each
+//     kind of trial has one release site, on the decision goroutine: a
+//     losing lossless trial is released in the decision loop, and the
+//     chosen lossy trial's decode slice is parked and released when
+//     Process returns, after the oracle's observe pass (its last
+//     reader). On oracle-sampled decisions the losing lossless trials
+//     are not released at all: the oracle reads them later in the same
+//     Process call, so they are left to the garbage collector.
 //   - The selected trial's encoding escapes to the caller with the
 //     returned compress.Encoded and leaves the pool's circulation; its
 //     emptied wrapper parks in spareEncBufs so RecycleEncoded can re-arm
@@ -31,9 +33,9 @@ import (
 //     nil'ed), but distinct copies of one trial share a wrapper — never
 //     release the same trial through two copies.
 //
-// The pools are shared by every engine in the process; sync.Pool makes
-// cross-goroutine hand-offs (worker-prepared trials released on the
-// decision goroutine) race-safe.
+// The pools are shared by every engine in the process; sync.Pool keeps
+// them race-safe when several engines (one per Pipeline worker) run at
+// once.
 
 // encBuf wraps a trial encode buffer so pool round trips are pointer-sized.
 type encBuf struct{ b []byte }
@@ -81,28 +83,13 @@ func (t *losslessTrial) handOff() {
 	t.buf = nil
 }
 
-// releaseDecoded returns a lossy trial's decode slice to the pool. The
-// encode buffer is not pooled: CompressRatio has no Into variant, so
-// there is no wrapper to return. Idempotent per trial copy.
-//
-// adaedge:decision-goroutine
-func (t *lossyTrial) releaseDecoded() {
-	if t.dec == nil {
-		return
-	}
-	t.dec.v = t.decoded
-	decBufPool.Put(t.dec)
-	t.dec = nil
-	t.decoded = nil
-}
-
 // RecycleEncoded hands an Encoded's backing buffer back to the trial
 // pools. Callers that drop every reference to enc.Data once a segment is
 // accounted (benchmark drivers, metrics-only consumers) can call this
-// after each Process/ProcessPrepared to make the steady-state decision
-// loop allocation-free. Callers that retain the bytes — an uplink spool,
-// a storage pool — must NOT recycle: the buffer would be overwritten by
-// a later trial while still referenced.
+// after each Process to make the steady-state decision loop
+// allocation-free. Callers that retain the bytes — an uplink spool, a
+// storage pool — must NOT recycle: the buffer would be overwritten by a
+// later trial while still referenced.
 func RecycleEncoded(enc compress.Encoded) {
 	if cap(enc.Data) == 0 {
 		return
@@ -113,7 +100,7 @@ func RecycleEncoded(enc compress.Encoded) {
 }
 
 // engineScratch holds slices reused across segments by the decision
-// goroutine. Never touched by PrepareSegment workers.
+// goroutine.
 type engineScratch struct {
 	mask       []bool
 	pendingDec *decBuf

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -13,12 +12,12 @@ import (
 // Span-layer contract at the engine level (DESIGN.md §7, §9): stage
 // emission happens on the decision goroutine only, timestamps come from
 // the virtual cost model, and enabling spans never perturbs decisions —
-// so a seeded run's span stream is byte-identical at any Workers count
-// and its decision trace is identical with spans on or off.
+// so a seeded run's span stream is byte-identical from run to run and its
+// decision trace is identical with spans on or off.
 
 // spanRun processes segments through a spans-enabled engine and returns
 // the recorded stage stream plus the selected codecs.
-func spanRun(t *testing.T, workers int) ([]obs.SpanStage, []string) {
+func spanRun(t *testing.T) ([]obs.SpanStage, []string) {
 	t.Helper()
 	o := obs.New(0)
 	o.EnableSpans(0)
@@ -26,7 +25,6 @@ func spanRun(t *testing.T, workers int) ([]obs.SpanStage, []string) {
 		TargetRatioOverride: 0.15,
 		Objective:           AggTarget(query.Max),
 		Seed:                42,
-		Workers:             workers,
 		Obs:                 o,
 		DeviceID:            9,
 	})
@@ -39,7 +37,7 @@ func spanRun(t *testing.T, workers int) ([]obs.SpanStage, []string) {
 		series, label := stream.Next()
 		segs[i] = LabeledSegment{Values: series, Label: label}
 	}
-	results, err := RunOnlineSegments(context.Background(), eng, segs)
+	results, err := RunOnlineSegments(eng, segs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,26 +48,26 @@ func spanRun(t *testing.T, workers int) ([]obs.SpanStage, []string) {
 	return o.Spans().Stages(), codecs
 }
 
-// TestOnlineSpansDeterministicAcrossWorkers pins the tentpole invariant:
-// the span stream of a seeded run is identical at Workers 1 and 4 —
-// stage order, trace identities, arms, codecs and every virtual-time
-// field included.
-func TestOnlineSpansDeterministicAcrossWorkers(t *testing.T) {
-	spans1, codecs1 := spanRun(t, 1)
-	spans4, codecs4 := spanRun(t, 4)
-	if !reflect.DeepEqual(codecs1, codecs4) {
-		t.Fatal("decisions diverged between Workers 1 and 4")
+// TestOnlineSpansDeterministicAcrossRuns pins the span-layer invariant:
+// the span stream of a seeded run is identical on every run — stage
+// order, trace identities, arms, codecs and every virtual-time field
+// included.
+func TestOnlineSpansDeterministicAcrossRuns(t *testing.T) {
+	spansA, codecsA := spanRun(t)
+	spansB, codecsB := spanRun(t)
+	if !reflect.DeepEqual(codecsA, codecsB) {
+		t.Fatal("decisions diverged between same-seed runs")
 	}
-	if len(spans1) == 0 {
+	if len(spansA) == 0 {
 		t.Fatal("no span stages recorded")
 	}
-	if !reflect.DeepEqual(spans1, spans4) {
-		if len(spans1) != len(spans4) {
-			t.Fatalf("span stream lengths diverged: %d vs %d", len(spans1), len(spans4))
+	if !reflect.DeepEqual(spansA, spansB) {
+		if len(spansA) != len(spansB) {
+			t.Fatalf("span stream lengths diverged: %d vs %d", len(spansA), len(spansB))
 		}
-		for i := range spans1 {
-			if spans1[i] != spans4[i] {
-				t.Fatalf("span stream diverged at record %d:\n  workers=1: %+v\n  workers=4: %+v", i, spans1[i], spans4[i])
+		for i := range spansA {
+			if spansA[i] != spansB[i] {
+				t.Fatalf("span stream diverged at record %d:\n  run A: %+v\n  run B: %+v", i, spansA[i], spansB[i])
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,8 +16,8 @@ import (
 )
 
 // Continuous benchmark emitter (`adaedge-bench -exp bench -json ...`): a
-// pinned, seeded workload matrix — online and offline mode, sequential and
-// parallel, the headline objectives — whose result is one schema-versioned
+// pinned, seeded workload matrix — online and offline mode, the headline
+// objectives, and the fleet — whose result is one schema-versioned
 // JSON document (BENCH_<n>.json). CI runs it every build and archives the
 // artifact, so performance and decision quality have a comparable
 // time series instead of ad-hoc terminal runs.
@@ -27,8 +26,8 @@ import (
 //
 //   - quality: seeded-deterministic outcomes (ratios, accuracy loss,
 //     segment mix, final regret). Identical across runs of the same
-//     binary with the same seed at any worker count — the determinism
-//     test pins this, and it is what makes two BENCH files diffable.
+//     binary with the same seed — the determinism test pins this, and
+//     it is what makes two BENCH files diffable.
 //   - perf: wall-clock throughput and allocation statistics. Honest
 //     measurements that vary run to run; trends, not invariants.
 
@@ -49,8 +48,6 @@ type BenchConfig struct {
 	Segments int
 	// Seed drives every case's stream and policies (default 11).
 	Seed int64
-	// Workers lists the worker counts each case runs at (default 1, 4).
-	Workers []int
 	// Repeats runs each cell this many times and keeps the perf fields
 	// from the fastest run (default 3). Quality fields are deterministic,
 	// so repeats only reduce scheduler noise on the perf axes — best-of-N
@@ -66,9 +63,6 @@ func (c BenchConfig) withDefaults() BenchConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 11
-	}
-	if len(c.Workers) == 0 {
-		c.Workers = []int{1, 4}
 	}
 	if c.Repeats <= 0 {
 		c.Repeats = 5
@@ -143,12 +137,15 @@ type BenchFleet struct {
 
 // BenchCase is one cell of the matrix.
 type BenchCase struct {
-	Name     string `json:"name"`
-	Mode     string `json:"mode"`   // "online", "offline" or "fleet"
-	Target   string `json:"target"` // objective description
-	Workers  int    `json:"workers"`
-	Segments int    `json:"segments"`
-	Seed     int64  `json:"seed"`
+	Name   string `json:"name"`
+	Mode   string `json:"mode"`   // "online", "offline" or "fleet"
+	Target string `json:"target"` // objective description
+	// Workers is always 1: every cell runs one engine on one goroutine.
+	// The field stays so documents written when the matrix also had
+	// multi-worker cells still validate and compare.
+	Workers  int   `json:"workers"`
+	Segments int   `json:"segments"`
+	Seed     int64 `json:"seed"`
 	// TargetRatio is the online ratio constraint (0 offline).
 	TargetRatio float64 `json:"target_ratio"`
 	// StorageBytes is the offline budget (0 online).
@@ -185,18 +182,18 @@ func RunBench(w io.Writer, cfg BenchConfig) (BenchDoc, error) {
 	type spec struct {
 		name   string
 		target string
-		run    func(workers int) (BenchCase, error)
+		run    func() (BenchCase, error)
 	}
 	model := trainCBFModel("rforest")
 	kmeans := trainCBFModel("kmeans")
 	specs := []spec{
-		{name: "online_ratio", target: "ratio", run: func(workers int) (BenchCase, error) {
+		{name: "online_ratio", target: "ratio", run: func() (BenchCase, error) {
 			return benchOnline(cfg, "online_ratio", "ratio",
-				core.SingleTarget(core.TargetRatio), 0.15, workers, "", 0)
+				core.SingleTarget(core.TargetRatio), 0.15, "", 0)
 		}},
-		{name: "online_ml_rforest", target: "ml(rforest)", run: func(workers int) (BenchCase, error) {
+		{name: "online_ml_rforest", target: "ml(rforest)", run: func() (BenchCase, error) {
 			return benchOnline(cfg, "online_ml_rforest", "ml(rforest)",
-				core.MLTarget(model), 0.1, workers, "", 0)
+				core.MLTarget(model), 0.1, "", 0)
 		}},
 		// The contextual pair mirrors online_ratio: same objective, stream
 		// and ratio, so online_ratio vs online_ctx_ratio is a direct
@@ -204,48 +201,44 @@ func RunBench(w io.Writer, cfg BenchConfig) (BenchDoc, error) {
 		// online_ctx_deadline adds the 5µs gate (ratio-override cells have
 		// no uplink term, so the deadline bounds the cost-model encode
 		// latency alone — tight enough to reject the slow transforms).
-		{name: "online_ctx_ratio", target: "ratio", run: func(workers int) (BenchCase, error) {
+		{name: "online_ctx_ratio", target: "ratio", run: func() (BenchCase, error) {
 			return benchOnline(cfg, "online_ctx_ratio", "ratio",
-				core.SingleTarget(core.TargetRatio), 0.15, workers, "contextual", 0)
+				core.SingleTarget(core.TargetRatio), 0.15, "contextual", 0)
 		}},
-		{name: "online_ctx_deadline", target: "ratio", run: func(workers int) (BenchCase, error) {
+		{name: "online_ctx_deadline", target: "ratio", run: func() (BenchCase, error) {
 			return benchOnline(cfg, "online_ctx_deadline", "ratio",
-				core.SingleTarget(core.TargetRatio), 0.15, workers, "contextual", 5*time.Microsecond)
+				core.SingleTarget(core.TargetRatio), 0.15, "contextual", 5*time.Microsecond)
 		}},
-		{name: "offline_ml_kmeans", target: "ml(kmeans)", run: func(workers int) (BenchCase, error) {
+		{name: "offline_ml_kmeans", target: "ml(kmeans)", run: func() (BenchCase, error) {
 			return benchOffline(cfg, "offline_ml_kmeans", "ml(kmeans)",
-				core.MLTarget(kmeans), workers)
+				core.MLTarget(kmeans))
 		}},
 	}
 	for _, s := range specs {
-		for _, workers := range cfg.Workers {
-			c, err := s.run(workers)
+		c, err := s.run()
+		if err != nil {
+			return doc, fmt.Errorf("bench %s: %w", s.name, err)
+		}
+		// Best-of-N: re-run the cell and keep the fastest run's perf block
+		// whole (wall clock and memory deltas belong together). Quality is
+		// seeded-deterministic, so run one's copy is canonical.
+		for r := 1; r < cfg.Repeats; r++ {
+			c2, err := s.run()
 			if err != nil {
-				return doc, fmt.Errorf("bench %s workers=%d: %w", s.name, workers, err)
+				return doc, fmt.Errorf("bench %s (repeat %d): %w", s.name, r, err)
 			}
-			// Best-of-N: re-run the cell and keep the fastest run's perf
-			// block whole (wall clock and memory deltas belong together).
-			// Quality is seeded-deterministic, so run one's copy is
-			// canonical.
-			for r := 1; r < cfg.Repeats; r++ {
-				c2, err := s.run(workers)
-				if err != nil {
-					return doc, fmt.Errorf("bench %s workers=%d (repeat %d): %w", s.name, workers, r, err)
-				}
-				if c2.Perf.WallSeconds < c.Perf.WallSeconds {
-					c.Perf = c2.Perf
-				}
-			}
-			doc.Cases = append(doc.Cases, c)
-			if w != nil {
-				fmt.Fprintf(w, "  %-18s workers=%d  %8.1f seg/s  ratio %.4f  regret %s\n",
-					c.Name, c.Workers, c.Perf.SegmentsPerSec, c.Quality.OverallRatio, fmtRegret(c.Quality.FinalRegret))
+			if c2.Perf.WallSeconds < c.Perf.WallSeconds {
+				c.Perf = c2.Perf
 			}
 		}
+		doc.Cases = append(doc.Cases, c)
+		if w != nil {
+			fmt.Fprintf(w, "  %-20s %8.1f seg/s  ratio %.4f  regret %s\n",
+				c.Name, c.Perf.SegmentsPerSec, c.Quality.OverallRatio, fmtRegret(c.Quality.FinalRegret))
+		}
 	}
-	// The fleet cell runs outside the spec loop: it has no worker
-	// dimension (the fleet itself is the concurrency), and each run costs
-	// real wall clock on redial backoffs, so it repeats at most twice.
+	// The fleet cell runs outside the spec loop: each run costs real wall
+	// clock on redial backoffs, so it repeats at most twice.
 	fc, err := benchFleet(cfg)
 	if err != nil {
 		return doc, fmt.Errorf("bench %s: %w", fc.Name, err)
@@ -265,8 +258,8 @@ func RunBench(w io.Writer, cfg BenchConfig) (BenchDoc, error) {
 	}
 	doc.Cases = append(doc.Cases, fc)
 	if w != nil {
-		fmt.Fprintf(w, "  %-18s workers=%d  %8.1f devices*segments/s  %d delivered\n",
-			fc.Name, fc.Workers, fc.Fleet.DevicesXSegmentsPerSec, fc.Fleet.Delivered)
+		fmt.Fprintf(w, "  %-20s %8.1f devices*segments/s  %d delivered\n",
+			fc.Name, fc.Fleet.DevicesXSegmentsPerSec, fc.Fleet.Delivered)
 	}
 	return doc, nil
 }
@@ -326,14 +319,13 @@ func fmtRegret(r *float64) string {
 // benchOnline runs one online cell with the quality oracle attached.
 // policy "" selects the default ε-greedy; a positive deadline arms the
 // per-segment latency gate.
-func benchOnline(cfg BenchConfig, name, target string, obj core.Objective, ratio float64, workers int, policy string, deadline time.Duration) (BenchCase, error) {
+func benchOnline(cfg BenchConfig, name, target string, obj core.Objective, ratio float64, policy string, deadline time.Duration) (BenchCase, error) {
 	eng, err := core.NewOnlineEngine(core.Config{
 		TargetRatioOverride: ratio,
 		Objective:           obj,
 		BanditPolicy:        policy,
 		Deadline:            deadline,
 		Seed:                cfg.Seed,
-		Workers:             workers,
 		Quality:             &quality.Config{SampleEvery: 4},
 	})
 	if err != nil {
@@ -351,7 +343,7 @@ func benchOnline(cfg BenchConfig, name, target string, obj core.Objective, ratio
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	if _, err := core.RunOnlineSegments(context.Background(), eng, segs); err != nil {
+	if _, err := core.RunOnlineSegments(eng, segs); err != nil {
 		return BenchCase{}, err
 	}
 	wall := time.Since(start).Seconds()
@@ -365,7 +357,7 @@ func benchOnline(cfg BenchConfig, name, target string, obj core.Objective, ratio
 	regret := qs.CumulativeRegret
 	return BenchCase{
 		Name: name, Mode: "online", Target: target,
-		Workers: workers, Segments: cfg.Segments, Seed: cfg.Seed, TargetRatio: ratio,
+		Workers: 1, Segments: cfg.Segments, Seed: cfg.Seed, TargetRatio: ratio,
 		Quality: BenchQuality{
 			OverallRatio:     st.OverallRatio(),
 			MeanAccuracyLoss: st.MeanAccuracyLoss(),
@@ -386,13 +378,12 @@ func benchOnline(cfg BenchConfig, name, target string, obj core.Objective, ratio
 
 // benchOffline runs one offline cell: a tight storage budget that forces
 // recoding, the paper's Fig 12–13 regime.
-func benchOffline(cfg BenchConfig, name, target string, obj core.Objective, workers int) (BenchCase, error) {
+func benchOffline(cfg BenchConfig, name, target string, obj core.Objective) (BenchCase, error) {
 	budget := int64(cfg.Segments) * 140 // ≈14% of raw: recoding pressure without starvation
 	eng, err := core.NewOfflineEngine(core.Config{
 		StorageBytes: budget,
 		Objective:    obj,
 		Seed:         cfg.Seed,
-		Workers:      workers,
 		CodecCost:    core.DefaultCodecCost,
 	})
 	if err != nil {
@@ -429,7 +420,7 @@ func benchOffline(cfg BenchConfig, name, target string, obj core.Objective, work
 	snap := eng.Snapshot()
 	return BenchCase{
 		Name: name, Mode: "offline", Target: target,
-		Workers: workers, Segments: cfg.Segments, Seed: cfg.Seed, StorageBytes: budget,
+		Workers: 1, Segments: cfg.Segments, Seed: cfg.Seed, StorageBytes: budget,
 		Quality: BenchQuality{
 			OverallRatio:     float64(eng.Storage().Used()) / float64(rawBytes),
 			MeanAccuracyLoss: snap.MeanAccuracyLoss,

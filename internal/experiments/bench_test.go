@@ -11,13 +11,12 @@ import (
 // benchTestConfig is a shrunken matrix: enough segments for both engine
 // modes to make real decisions, small enough for the unit-test budget.
 func benchTestConfig() BenchConfig {
-	return BenchConfig{Segments: 30, Seed: 11, Workers: []int{1, 2}}
+	return BenchConfig{Segments: 30, Seed: 11}
 }
 
 // TestBenchDeterministicQuality pins the emitter's core promise: two runs
 // of the same seeded matrix produce identical quality fields (perf fields
-// are honest wall-clock measurements and may differ), and within one run
-// the quality fields are identical across worker counts.
+// are honest wall-clock measurements and may differ).
 func TestBenchDeterministicQuality(t *testing.T) {
 	a, err := RunBench(nil, benchTestConfig())
 	if err != nil {
@@ -41,29 +40,6 @@ func TestBenchDeterministicQuality(t *testing.T) {
 		if !reflect.DeepEqual(qa, qb) {
 			t.Fatalf("case %s: quality fields differ between same-seed runs:\n%+v\n%+v",
 				a.Cases[i].Name, qa, qb)
-		}
-	}
-	// Worker-count invariance: cases come in (name, workers) order, so
-	// adjacent same-name cases must agree on every quality field.
-	byName := map[string]BenchQuality{}
-	for _, c := range a.Cases {
-		q := c.Quality
-		if q.FinalRegret != nil {
-			r := *q.FinalRegret
-			q.FinalRegret = &r
-		}
-		prev, seen := byName[c.Name]
-		if !seen {
-			byName[c.Name] = q
-			continue
-		}
-		pr, qr := prev.FinalRegret, q.FinalRegret
-		if (pr == nil) != (qr == nil) || (pr != nil && *pr != *qr) {
-			t.Fatalf("case %s: FinalRegret differs across worker counts", c.Name)
-		}
-		prev.FinalRegret, q.FinalRegret = nil, nil
-		if !reflect.DeepEqual(prev, q) {
-			t.Fatalf("case %s: quality fields differ across worker counts:\n%+v\n%+v", c.Name, prev, q)
 		}
 	}
 }

@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/datasets"
 )
 
 // pipelineThroughput measures points/second of online selection across a
@@ -34,68 +31,5 @@ func pipelineThroughput(workers, segments int) float64 {
 	if dur <= 0 {
 		dur = 1e-9
 	}
-	_ = datasets.CBFLength
 	return float64(points) / dur
-}
-
-// singleStreamThroughput measures points/second of ONE online engine (one
-// ingestion order, one bandit state) with the trial work fanned across
-// workers — the OnlineParallel pipeline, as opposed to pipelineThroughput's
-// share-nothing shards. Long segments make the codec trials dominate, which
-// is the regime the pipeline accelerates.
-func singleStreamThroughput(workers, segments, segLen int) float64 {
-	eng, err := core.NewOnlineEngine(core.Config{
-		TargetRatioOverride: 1, // lossless trials: the expensive path
-		Objective:           core.SingleTarget(core.TargetRatio),
-		Seed:                21,
-		Workers:             workers,
-		SegmentLength:       segLen,
-	})
-	if err != nil {
-		panic(err)
-	}
-	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 23, Length: segLen})
-	segs := make([]core.LabeledSegment, segments)
-	points := 0
-	for i := range segs {
-		v, l := stream.Next()
-		segs[i] = core.LabeledSegment{Values: v, Label: l}
-		points += len(v)
-	}
-	start := time.Now()
-	if _, err := core.RunOnlineSegments(context.Background(), eng, segs); err != nil {
-		panic(err)
-	}
-	dur := time.Since(start).Seconds()
-	if dur <= 0 {
-		dur = 1e-9
-	}
-	return float64(points) / dur
-}
-
-// ParallelScalability measures single-stream throughput as Config.Workers
-// grows: unlike Scalability's independent shards, every worker here feeds
-// the same engine, so selections and stats stay byte-identical to the
-// sequential run while the codec trials parallelize. Speedup requires
-// GOMAXPROCS cores; on a single-CPU host the rows stay roughly flat.
-func ParallelScalability(w io.Writer, workerCounts []int, segments int) []ScaleRow {
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4, 8}
-	}
-	if segments <= 0 {
-		segments = 200
-	}
-	const segLen = 1024
-	var rows []ScaleRow
-	for _, workers := range workerCounts {
-		rows = append(rows, ScaleRow{Workers: workers, PtsPerSec: singleStreamThroughput(workers, segments, segLen)})
-	}
-	if w != nil {
-		fmt.Fprintln(w, "Parallel pipeline (§V-C, single stream): throughput vs Config.Workers")
-		base := rows[0].PtsPerSec
-		for _, r := range rows {
-			fmt.Fprintf(w, "  %2d workers: %8.2f M pts/s  (%.2fx)\n", r.Workers, r.PtsPerSec/1e6, r.PtsPerSec/base)
-		}
-	}
-	return rows
 }

@@ -42,7 +42,6 @@ var EscapePinnedFiles = []string{
 	"internal/compress/buff.go",
 	"internal/core/online.go",
 	"internal/core/scratch.go",
-	"internal/core/parallel.go",
 }
 
 // EscapeBaselineFile is the committed golden, relative to the module root.

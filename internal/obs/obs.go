@@ -21,8 +21,8 @@
 // everywhere) disables instrumentation entirely: every metric method is
 // nil-receiver safe, so the instrumented hot paths pay one predictable
 // branch and no clock reads when observability is off. That property is
-// load-bearing — BenchmarkOnlineParallel must not regress when the layer
-// is disabled.
+// load-bearing — the online engine's zero-allocation pins
+// (internal/core/allocs_test.go) run with the layer disabled.
 //
 // # Clock ownership
 //

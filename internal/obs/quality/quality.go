@@ -5,9 +5,9 @@
 // The obs layer (PR 4) records what was chosen; this package records what
 // it cost to not choose the best arm. Per sampled decision the core
 // engine hands the Tracker the chosen arm's oracle reward plus the full
-// candidate set (one outcome per phase-feasible arm, computed from the
-// speculative trials the parallel pipeline already ran, or from shadow
-// trials off the decision goroutine). The Tracker derives:
+// candidate set (one outcome per phase-feasible arm, reusing the trials
+// the decision path already ran, or from shadow trials off the decision
+// goroutine). The Tracker derives:
 //
 //   - instantaneous, cumulative and windowed regret (best − chosen),
 //   - per-codec reward-gap histograms (how far each codec trails the
@@ -126,7 +126,7 @@ type Snapshot struct {
 	HeldCodec   string `json:"held_codec,omitempty"`
 	// ShadowTrials and ReusedTrials split the oracle's candidate-trial
 	// provenance: recomputed off the decision goroutine vs. consumed from
-	// speculative/decision-path work that already existed.
+	// decision-path work that already existed.
 	ShadowTrials int `json:"shadow_trials"`
 	ReusedTrials int `json:"reused_trials"`
 	// Codecs is the per-codec attribution ledger.
@@ -233,8 +233,7 @@ func (t *Tracker) SampleEvery() int {
 }
 
 // Sampled reports whether decision seq gets the full oracle evaluation.
-// Pure function of (seq, SampleEvery), so it is identical at any worker
-// count.
+// Pure function of (seq, SampleEvery), so it never depends on timing.
 func (t *Tracker) Sampled(seq uint64) bool {
 	if t == nil {
 		return false

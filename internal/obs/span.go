@@ -19,7 +19,7 @@ import "sync"
 // wall-clock fields. Timestamps are VT — virtual seconds since the
 // segment's ingest, advanced by the deterministic codec cost model
 // (core.DefaultCodecCost) — so the span stream of a seeded run is
-// byte-identical at any worker count. Stages emitted outside the engine
+// byte-identical from run to run. Stages emitted outside the engine
 // (spool/wire/collector) have no virtual cost and record VT/Dur zero;
 // their wall timing lives in the existing perf-timer histograms
 // (transport.uplink.rtt_seconds), never in span records.

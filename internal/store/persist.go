@@ -8,6 +8,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/bitio"
 	"repro/internal/compress"
 )
 
@@ -30,6 +31,11 @@ var persistMagic = [4]byte{'A', 'E', 'P', '1'}
 
 // ErrBadFormat is returned when the input is not a valid pool dump.
 var ErrBadFormat = errors.New("store: bad persistence format")
+
+// maxSegmentPoints bounds a stored entry's point count N, the same bound
+// the transport puts on a frame's: 1<<27 points is 1 GiB of raw float64s
+// and fits an int32, so a hostile count cannot overflow Encoded.N.
+const maxSegmentPoints = 1 << 27
 
 // WriteTo serializes every pool entry (sorted by id) to w and returns the
 // byte count. EvalRaw measurement data is never persisted.
@@ -143,6 +149,9 @@ func ReadPool(r io.Reader, policy Policy) (*Pool, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 		}
+		if n > maxSegmentPoints {
+			return nil, fmt.Errorf("%w: point count %d", ErrBadFormat, n)
+		}
 		dataLen, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
@@ -151,8 +160,10 @@ func ReadPool(r io.Reader, policy Policy) (*Pool, error) {
 		if dataLen > maxSegmentBytes {
 			return nil, ErrBadFormat
 		}
-		data := make([]byte, dataLen)
-		if _, err := io.ReadFull(br, data); err != nil {
+		// dataLen is untrusted: ReadN allocates for the bytes that
+		// actually arrive, so a truncated dump cannot claim 1 GiB.
+		data, err := bitio.ReadN(br, dataLen)
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 		}
 		e.Enc = compress.Encoded{Codec: codec, Data: data, N: int(n)}

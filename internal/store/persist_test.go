@@ -2,6 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/compress"
@@ -132,4 +136,56 @@ func TestPersistTruncatedPayload(t *testing.T) {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
+}
+
+// TestReadPoolHostileLengthAllocatesLittle is the regression for trusting
+// the entry length field: a 23-byte dump claiming a 1 GiB payload used to
+// make ReadPool (and so ResumeOfflineEngine) allocate the full gibibyte
+// before reading a byte. It must now fail having allocated only what the
+// input delivered.
+func TestReadPoolHostileLengthAllocatesLittle(t *testing.T) {
+	dump := hostileDump(8, 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadPool(bytes.NewReader(dump), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("want ErrBadFormat, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("ReadPool allocated %d bytes for a %d-byte dump, want < 1 MiB", got, len(dump))
+	}
+}
+
+// TestReadPoolRejectsHostilePointCount: a point count above the
+// transport's frame bound must be rejected, not stored into Encoded.N
+// (2^64-1 used to come back as N = -1).
+func TestReadPoolRejectsHostilePointCount(t *testing.T) {
+	for _, n := range []uint64{math.MaxUint64, maxSegmentPoints + 1} {
+		if _, err := ReadPool(bytes.NewReader(hostileDump(n, 0)), nil); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("N=%d: want ErrBadFormat, got %v", n, err)
+		}
+	}
+	p, err := ReadPool(bytes.NewReader(hostileDump(maxSegmentPoints, 0)), nil)
+	if err != nil {
+		t.Fatalf("N at the bound rejected: %v", err)
+	}
+	if e, ok := p.Peek(1); !ok || e.Enc.N != maxSegmentPoints {
+		t.Fatalf("entry = %+v, want N = %d", e, maxSegmentPoints)
+	}
+}
+
+// hostileDump is a one-entry pool dump whose length fields are chosen by
+// the test; its payload bytes are never present.
+func hostileDump(n, dataLen uint64) []byte {
+	dump := []byte("AEP1")
+	dump = binary.AppendUvarint(dump, 1) // segment count
+	dump = binary.AppendUvarint(dump, 1) // id
+	dump = binary.AppendUvarint(dump, 0) // label
+	dump = append(dump, 1)               // flags: lossless
+	dump = binary.AppendUvarint(dump, 0) // level
+	dump = binary.AppendUvarint(dump, 7) // codec name length
+	dump = append(dump, "gorilla"...)
+	dump = binary.AppendUvarint(dump, n)
+	return binary.AppendUvarint(dump, dataLen)
 }

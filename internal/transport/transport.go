@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/bitio"
 	"repro/internal/compress"
 )
 
@@ -169,8 +170,9 @@ func (t *Reader) Recv() (Frame, error) {
 	if err != nil || dataLen > maxFrameData {
 		return Frame{}, ErrBadFrame
 	}
-	f.Enc.Data = make([]byte, dataLen)
-	if _, err := io.ReadFull(t.r, f.Enc.Data); err != nil {
+	// dataLen is untrusted: ReadN allocates for the bytes that actually
+	// arrive, so a short frame claiming 1 GiB costs what it carries.
+	if f.Enc.Data, err = bitio.ReadN(t.r, dataLen); err != nil {
 		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	return f, nil

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -398,5 +399,29 @@ func TestCollectorCloseIdempotent(t *testing.T) {
 	}
 	if err := col.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecvHostileLengthAllocatesLittle is the regression for trusting the
+// payload length field: a 14-byte frame claiming a 1 GiB payload used to
+// make Recv allocate the full gibibyte before reading a byte. It must now
+// fail as a bad frame having allocated only what the input delivered.
+func TestRecvHostileLengthAllocatesLittle(t *testing.T) {
+	frame := []byte("AES1")
+	frame = binary.AppendUvarint(frame, 1)     // id
+	frame = binary.AppendUvarint(frame, 0)     // label
+	frame = binary.AppendUvarint(frame, 1)     // codec name length
+	frame = append(frame, 'p')                 // codec name
+	frame = binary.AppendUvarint(frame, 8)     // point count
+	frame = binary.AppendUvarint(frame, 1<<30) // payload length: never sent
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewReader(bytes.NewReader(frame)).Recv()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("want ErrBadFrame, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("Recv allocated %d bytes for a %d-byte frame, want < 1 MiB", got, len(frame))
 	}
 }
