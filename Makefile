@@ -8,7 +8,7 @@ VETTOOL := $(BIN)/adaedge-lint
 # Per-target fuzz time for the smoke pass (CI uses the same value).
 FUZZTIME ?= 20s
 
-.PHONY: all build vet lint escape-gate escape-gate-update test race fuzz-smoke obs-smoke fleet-smoke perfbench-smoke bench-json bench-compare doc-drift ci clean
+.PHONY: all build vet lint escape-gate escape-gate-update test race chaos-repeat fuzz-smoke obs-smoke fleet-smoke perfbench-smoke bench-json bench-compare doc-drift ci clean
 
 all: build
 
@@ -47,6 +47,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# chaos-repeat reruns the seeded transport chaos tests (lockstep sessions
+# under injected outages, stalls and resets) 20 times under the race
+# detector: a pump/ACK-reader race that shows only sometimes must still
+# fail the gate.
+chaos-repeat:
+	$(GO) test -race -run Chaos -count=20 ./internal/transport
 
 # fuzz-smoke mirrors the CI fuzz job: every Fuzz* target in the
 # decoder-facing packages and the disk readers (and the bufownership
@@ -117,7 +124,7 @@ bench-compare:
 doc-drift:
 	./scripts/doc_drift.sh
 
-ci: build vet lint escape-gate race obs-smoke fleet-smoke perfbench-smoke doc-drift
+ci: build vet lint escape-gate race chaos-repeat obs-smoke fleet-smoke perfbench-smoke doc-drift
 
 clean:
 	rm -rf $(BIN)

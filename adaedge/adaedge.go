@@ -54,8 +54,10 @@ type (
 	LabeledSegment = core.LabeledSegment
 	// Mux routes multiple signals to per-signal engines.
 	Mux = core.Mux
-	// Collector turns a point stream into fixed-size segments.
-	Collector = core.Collector
+	// Ingester turns a point stream into fixed-size segments.
+	Ingester = core.Ingester
+	// IngesterConfig parameterizes an Ingester.
+	IngesterConfig = core.IngesterConfig
 	// Result describes one processed segment.
 	Result = core.Result
 	// Snapshot is one offline space/accuracy sample.
@@ -144,8 +146,8 @@ var (
 	RunOnlineSegments = core.RunOnlineSegments
 	// NewMux builds a multi-signal router.
 	NewMux = core.NewMux
-	// NewCollector builds a point-level ingest collector.
-	NewCollector = core.NewCollector
+	// NewIngester builds a point-level ingest buffer.
+	NewIngester = core.NewIngester
 )
 
 // Objective constructors.
@@ -198,22 +200,25 @@ type DrainReport = core.DrainReport
 type (
 	// Frame is one transmitted segment with its codec metadata.
 	Frame = transport.Frame
-	// Uplink is the device-side TCP sender.
-	Uplink = transport.Uplink
+	// Uplink is the device-side sender: spooled, acknowledged,
+	// redialing delivery.
+	Uplink = transport.ResilientUplink
+	// UplinkConfig parameterizes Dial.
+	UplinkConfig = transport.ResilientConfig
 	// CloudCollector receives and decompresses segment frames.
 	CloudCollector = transport.Collector
 )
 
 // Transport constructors.
 var (
-	// Dial connects an uplink to a collector.
-	Dial = transport.Dial
+	// Dial starts an uplink toward a collector.
+	Dial = transport.DialResilient
 	// NewCloudCollector builds the receiving side.
 	NewCloudCollector = transport.NewCollector
 )
 
 // Observability types (see OBSERVABILITY.md). Attach an Observer via
-// Config.Obs (engines), transport.ResilientConfig.Obs (uplink) or
+// Config.Obs (engines), UplinkConfig.Obs (uplink) or
 // CloudCollector.Instrument; a nil Observer disables everything.
 type (
 	// Observer bundles a metric registry, a decision-trace ring, and the

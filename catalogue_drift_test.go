@@ -65,7 +65,7 @@ var bucketRE = regexp.MustCompile(`\[\d+\]`)
 // event source→kinds, and the span-stage catalogue.
 type docCatalogue struct {
 	metrics    map[string]bool
-	help       map[string]string // metric name → Meaning cell
+	help       map[string]string          // metric name → Meaning cell
 	events     map[string]map[string]bool // source → kind set
 	spanStages map[string]bool
 }
@@ -343,6 +343,7 @@ func driveTransport(t *testing.T, upObs, colObs *obs.Observer) {
 	up, err := transport.DialResilient(transport.ResilientConfig{
 		Addr:         addr.String(),
 		DeviceID:     42,
+		AckEvery:     1,
 		Seed:         7,
 		BackoffBase:  200 * time.Microsecond,
 		BackoffMax:   2 * time.Millisecond,

@@ -27,6 +27,15 @@ func (*FFT) Name() string { return "fft" }
 
 const fftCoefBytes = 12
 
+// maxFFTDecodePoints bounds the point count an FFT payload may declare.
+// The inverse transform's working set is about 25 times the decoded
+// float64s (complex spectrum copies plus Bluestein's power-of-two padding
+// to at least 2n), so the generic maxDecodePoints would let a 7-byte
+// hostile payload force gigabytes of allocation. 1<<20 points keeps the
+// worst case near the generic bound's budget and is still far above any
+// segment length AdaEdge produces.
+const maxFFTDecodePoints = 1 << 20
+
 // Compress implements Codec at ratio 1.
 func (f *FFT) Compress(values []float64) (Encoded, error) {
 	return f.CompressRatio(values, 1.0)
@@ -131,6 +140,9 @@ func fftParse(data []byte) (n int, coefs []fftCoef, err error) {
 	count, c, err := readCount(data)
 	if err != nil {
 		return 0, nil, err
+	}
+	if count > maxFFTDecodePoints {
+		return 0, nil, ErrCorrupt
 	}
 	data = data[c:]
 	k, c := binary.Uvarint(data)

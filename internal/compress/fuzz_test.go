@@ -98,4 +98,11 @@ func TestHostileHeadersRejected(t *testing.T) {
 			t.Errorf("%s: accepted empty data", name)
 		}
 	}
+	// An FFT payload declaring more points than maxFFTDecodePoints and no
+	// coefficients: the inverse transform alone would allocate gigabytes.
+	hugeFFT := putUvarint(nil, maxFFTDecodePoints+1)
+	hugeFFT = putUvarint(hugeFFT, 0)
+	if _, err := NewFFT().Decompress(Encoded{Codec: "fft", Data: hugeFFT, N: 128}); err == nil {
+		t.Error("fft: accepted a point count past maxFFTDecodePoints")
+	}
 }

@@ -93,10 +93,10 @@ func ExampleWeighted() {
 	// terms: 2
 }
 
-// Point-level ingestion: the collector seals fixed-size segments and
+// Point-level ingestion: the ingester seals fixed-size segments and
 // buffers them for the compression path.
-func ExampleCollector() {
-	c := core.NewCollector(core.CollectorConfig{SegmentLength: 4})
+func ExampleIngester() {
+	c := core.NewIngester(core.IngesterConfig{SegmentLength: 4})
 	c.PushBatch([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	c.Flush() // seal the partial tail
 	for {

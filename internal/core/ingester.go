@@ -8,14 +8,14 @@ import (
 	"repro/internal/timeseries"
 )
 
-// Collector implements the ingest front of the paper's workflow (§IV-C):
+// Ingester implements the ingest front of the paper's workflow (§IV-C):
 // "AdaEdge ingests data points generated by remote sensor clients, caches
 // them into fixed-size arrays, assigns a timestamp to each segment, and
 // then pushes it into the uncompressed buffer." When the uncompressed
 // buffer overflows — the ingestion rate exceeding the compression speed —
 // segments are flushed (counted as disk spill, paper: "the data is flushed
 // to the disk").
-type Collector struct {
+type Ingester struct {
 	mu sync.Mutex
 
 	signal   string
@@ -34,8 +34,8 @@ type Collector struct {
 	spilled int
 }
 
-// CollectorConfig parameterizes a Collector.
-type CollectorConfig struct {
+// IngesterConfig parameterizes an Ingester.
+type IngesterConfig struct {
 	// Signal names the source stream.
 	Signal string
 	// SegmentLength is the fixed segment size (default 128).
@@ -48,8 +48,8 @@ type CollectorConfig struct {
 	BufferSegments int
 }
 
-// NewCollector builds a collector.
-func NewCollector(cfg CollectorConfig) *Collector {
+// NewIngester builds an ingester.
+func NewIngester(cfg IngesterConfig) *Ingester {
 	if cfg.SegmentLength <= 0 {
 		cfg.SegmentLength = 128
 	}
@@ -59,7 +59,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	if cfg.Signal == "" {
 		cfg.Signal = "signal"
 	}
-	return &Collector{
+	return &Ingester{
 		signal:   cfg.Signal,
 		segLen:   cfg.SegmentLength,
 		interval: cfg.Interval,
@@ -70,7 +70,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 
 // Push appends one data point. When a segment fills, it is moved to the
 // uncompressed buffer (or counted as spilled if the buffer is full).
-func (c *Collector) Push(v float64) {
+func (c *Ingester) Push(v float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pending = append(c.pending, v)
@@ -80,7 +80,7 @@ func (c *Collector) Push(v float64) {
 }
 
 // PushBatch appends many points at once.
-func (c *Collector) PushBatch(vs []float64) {
+func (c *Ingester) PushBatch(vs []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, v := range vs {
@@ -92,14 +92,14 @@ func (c *Collector) PushBatch(vs []float64) {
 }
 
 // SetLabel sets the class label stamped on subsequently sealed segments.
-func (c *Collector) SetLabel(label int) {
+func (c *Ingester) SetLabel(label int) {
 	c.mu.Lock()
 	c.label = label
 	c.mu.Unlock()
 }
 
 // Flush seals any partial segment (e.g. at stream end).
-func (c *Collector) Flush() {
+func (c *Ingester) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.pending) > 0 {
@@ -108,7 +108,7 @@ func (c *Collector) Flush() {
 }
 
 // sealLocked moves the pending points into a timestamped segment.
-func (c *Collector) sealLocked() {
+func (c *Ingester) sealLocked() {
 	seg := timeseries.NewSegment(c.nextID, c.signal, c.start, c.interval, c.pending)
 	seg.Label = c.label
 	c.start = c.start.Add(time.Duration(len(c.pending)) * c.interval)
@@ -120,16 +120,16 @@ func (c *Collector) sealLocked() {
 }
 
 // Next pops the oldest buffered segment for a compression thread.
-func (c *Collector) Next() (*timeseries.Segment, bool) {
+func (c *Ingester) Next() (*timeseries.Segment, bool) {
 	return c.buffer.Pop()
 }
 
 // Buffered returns the number of segments waiting for compression.
-func (c *Collector) Buffered() int { return c.buffer.Len() }
+func (c *Ingester) Buffered() int { return c.buffer.Len() }
 
 // Spilled returns the number of segments flushed to disk because the
 // uncompressed buffer was full.
-func (c *Collector) Spilled() int {
+func (c *Ingester) Spilled() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.spilled

@@ -6,7 +6,7 @@ import (
 )
 
 func TestCollectorSealsFixedSegments(t *testing.T) {
-	c := NewCollector(CollectorConfig{SegmentLength: 4, Interval: time.Second})
+	c := NewIngester(IngesterConfig{SegmentLength: 4, Interval: time.Second})
 	for i := 0; i < 10; i++ {
 		c.Push(float64(i))
 	}
@@ -31,7 +31,7 @@ func TestCollectorSealsFixedSegments(t *testing.T) {
 }
 
 func TestCollectorFlushPartial(t *testing.T) {
-	c := NewCollector(CollectorConfig{SegmentLength: 8})
+	c := NewIngester(IngesterConfig{SegmentLength: 8})
 	c.PushBatch([]float64{1, 2, 3})
 	if c.Buffered() != 0 {
 		t.Fatal("partial segment sealed early")
@@ -48,7 +48,7 @@ func TestCollectorFlushPartial(t *testing.T) {
 }
 
 func TestCollectorLabels(t *testing.T) {
-	c := NewCollector(CollectorConfig{SegmentLength: 2})
+	c := NewIngester(IngesterConfig{SegmentLength: 2})
 	c.SetLabel(7)
 	c.PushBatch([]float64{1, 2})
 	seg, _ := c.Next()
@@ -58,7 +58,7 @@ func TestCollectorLabels(t *testing.T) {
 }
 
 func TestCollectorSpillsWhenBufferFull(t *testing.T) {
-	c := NewCollector(CollectorConfig{SegmentLength: 2, BufferSegments: 2})
+	c := NewIngester(IngesterConfig{SegmentLength: 2, BufferSegments: 2})
 	c.PushBatch([]float64{1, 2, 3, 4, 5, 6, 7, 8}) // 4 segments into a 2-slot buffer
 	if got := c.Spilled(); got != 2 {
 		t.Fatalf("spilled = %d, want 2", got)
@@ -69,7 +69,7 @@ func TestCollectorSpillsWhenBufferFull(t *testing.T) {
 }
 
 func TestCollectorSegmentIDsMonotone(t *testing.T) {
-	c := NewCollector(CollectorConfig{SegmentLength: 1})
+	c := NewIngester(IngesterConfig{SegmentLength: 1})
 	c.PushBatch([]float64{1, 2, 3})
 	var prev uint64
 	for i := 0; i < 3; i++ {
@@ -85,7 +85,7 @@ func TestCollectorSegmentIDsMonotone(t *testing.T) {
 }
 
 func TestCollectorFeedsOnlineEngine(t *testing.T) {
-	// End-to-end: point stream → collector → online engine.
+	// End-to-end: point stream → ingester → online engine.
 	eng, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 0.5,
 		Objective:           SingleTarget(TargetRatio),
@@ -94,7 +94,7 @@ func TestCollectorFeedsOnlineEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCollector(CollectorConfig{SegmentLength: 128})
+	c := NewIngester(IngesterConfig{SegmentLength: 128})
 	for i := 0; i < 128*5; i++ {
 		c.Push(float64(i%50) / 7)
 	}

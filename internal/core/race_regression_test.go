@@ -228,7 +228,7 @@ func TestOfflineSnapshotMutateWhileRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewOfflineRunner(eng, CollectorConfig{SegmentLength: 128})
+	runner := NewOfflineRunner(eng, IngesterConfig{SegmentLength: 128})
 	runner.Start(context.Background())
 
 	stop := make(chan struct{})
@@ -287,7 +287,7 @@ func TestOfflineStatsPollRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewOfflineRunner(eng, CollectorConfig{SegmentLength: 128})
+	runner := NewOfflineRunner(eng, IngesterConfig{SegmentLength: 128})
 	runner.Start(context.Background())
 
 	stop := make(chan struct{})

@@ -8,7 +8,7 @@ import (
 	"repro/internal/timeseries"
 )
 
-// OfflineRunner wires a Collector to an OfflineEngine with a dedicated
+// OfflineRunner wires an Ingester to an OfflineEngine with a dedicated
 // compression goroutine, reproducing the paper's thread architecture (§V:
 // "one for ingestion, one for compression, one for recoding…"): the caller
 // is the ingestion thread pushing raw points; the runner's worker drains
@@ -16,11 +16,11 @@ import (
 // inline, preserving the engine's determinism for a fixed arrival order).
 //
 // Backpressure is explicit: if the uncompressed buffer fills because
-// compression falls behind, the Collector counts spilled segments — the
+// compression falls behind, the Ingester counts spilled segments — the
 // paper's "flushed to the disk" path.
 type OfflineRunner struct {
-	collector *Collector
-	engine    *OfflineEngine
+	ingester *Ingester
+	engine   *OfflineEngine
 
 	wake   chan struct{}
 	done   chan struct{}
@@ -31,36 +31,36 @@ type OfflineRunner struct {
 	failed    error // guarded by mu
 }
 
-// NewOfflineRunner builds a runner over an existing engine and collector
+// NewOfflineRunner builds a runner over an existing engine and ingester
 // configuration.
-func NewOfflineRunner(engine *OfflineEngine, cfg CollectorConfig) *OfflineRunner {
+func NewOfflineRunner(engine *OfflineEngine, cfg IngesterConfig) *OfflineRunner {
 	return &OfflineRunner{
-		collector: NewCollector(cfg),
-		engine:    engine,
-		wake:      make(chan struct{}, 1),
+		ingester: NewIngester(cfg),
+		engine:   engine,
+		wake:     make(chan struct{}, 1),
 	}
 }
 
-// Collector exposes the ingest front.
-func (r *OfflineRunner) Collector() *Collector { return r.collector }
+// Ingester exposes the ingest front.
+func (r *OfflineRunner) Ingester() *Ingester { return r.ingester }
 
 // Start launches the compression worker.
 func (r *OfflineRunner) Start(ctx context.Context) {
 	ctx, r.cancel = context.WithCancel(ctx)
 	r.done = make(chan struct{})
 	// The compression worker is the engine's decision goroutine; the
-	// caller only pushes raw points through the collector.
+	// caller only pushes raw points through the ingester.
 	// adaedge:decision-goroutine
 	go func() {
 		defer close(r.done)
 		for {
-			seg, ok := r.collector.Next()
+			seg, ok := r.ingester.Next()
 			if !ok {
 				select {
 				case <-ctx.Done():
 					// Drain whatever is left before exiting.
 					for {
-						seg, ok := r.collector.Next()
+						seg, ok := r.ingester.Next()
 						if !ok {
 							return
 						}
@@ -93,17 +93,17 @@ func (r *OfflineRunner) ingest(seg *timeseries.Segment) {
 
 // Push feeds raw points from the ingestion thread and nudges the worker.
 func (r *OfflineRunner) Push(points []float64) {
-	r.collector.PushBatch(points)
+	r.ingester.PushBatch(points)
 	select {
 	case r.wake <- struct{}{}:
 	default:
 	}
 }
 
-// Stop flushes the collector, waits for the worker to drain, and returns
+// Stop flushes the ingester, waits for the worker to drain, and returns
 // the first engine error, if any.
 func (r *OfflineRunner) Stop() error {
-	r.collector.Flush()
+	r.ingester.Flush()
 	select {
 	case r.wake <- struct{}{}:
 	default:

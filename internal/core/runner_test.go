@@ -20,7 +20,7 @@ func TestOfflineRunnerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewOfflineRunner(engine, CollectorConfig{SegmentLength: 128})
+	r := NewOfflineRunner(engine, IngesterConfig{SegmentLength: 128})
 	r.Start(context.Background())
 
 	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 2})
@@ -52,7 +52,7 @@ func TestOfflineRunnerSurfacesEngineFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewOfflineRunner(engine, CollectorConfig{SegmentLength: 128})
+	r := NewOfflineRunner(engine, IngesterConfig{SegmentLength: 128})
 	r.Start(context.Background())
 	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 4})
 	for i := 0; i < 10; i++ {
@@ -74,7 +74,7 @@ func TestOfflineRunnerDrainsBacklogOnStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewOfflineRunner(engine, CollectorConfig{SegmentLength: 32})
+	r := NewOfflineRunner(engine, IngesterConfig{SegmentLength: 32})
 	r.Start(context.Background())
 	// Push a burst and stop immediately: Stop must drain everything.
 	burst := make([]float64, 32*20)
@@ -99,7 +99,7 @@ func TestOfflineRunnerConcurrentPushers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewOfflineRunner(engine, CollectorConfig{SegmentLength: 128, BufferSegments: 4096})
+	r := NewOfflineRunner(engine, IngesterConfig{SegmentLength: 128, BufferSegments: 4096})
 	r.Start(context.Background())
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -122,7 +122,7 @@ func TestOfflineRunnerConcurrentPushers(t *testing.T) {
 	if err := r.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if r.Processed()+r.Collector().Spilled() != 100 {
-		t.Fatalf("processed %d + spilled %d != 100", r.Processed(), r.Collector().Spilled())
+	if r.Processed()+r.Ingester().Spilled() != 100 {
+		t.Fatalf("processed %d + spilled %d != 100", r.Processed(), r.Ingester().Spilled())
 	}
 }

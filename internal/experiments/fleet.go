@@ -204,7 +204,6 @@ func RunFleet(w io.Writer, cfg FleetConfig) (FleetResult, error) {
 			Addr:          addr.String(),
 			DeviceID:      deviceID,
 			Obs:           cfg.Obs,
-			Protocol:      2,
 			AckEvery:      cfg.AckEvery,
 			Seed:          cfg.Seed + int64(i),
 			SpoolSegments: cfg.SegmentsPerDevice + 1, // headroom: the fleet run never sheds

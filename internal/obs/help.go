@@ -65,7 +65,6 @@ var MetricHelp = map[string]string{
 	"transport.uplink.spool_rejects": "frames the bounded spool refused",
 	"transport.uplink.pending":       "spool backlog after the last append/ACK",
 	"transport.uplink.spool_depth":   "backlog distribution (DepthBuckets)",
-	"transport.uplink.rtt_seconds":   "frame→ACK round trip (LatencyBuckets)",
 
 	// Collector.
 	"transport.collector.frames":          "frames delivered to the sink (exactly-once)",

@@ -11,8 +11,8 @@
 //     readable while the hot path increments them (Registry, Counter,
 //     Gauge).
 //   - Fixed-bucket histograms: lock-free Observe on atomic bucket
-//     counters, for compress/decompress latency, frame RTT and spool
-//     depth distributions (Histogram).
+//     counters, for compress/decompress latency and spool depth
+//     distributions (Histogram).
 //   - A bounded in-memory ring of structured decision-trace events, one
 //     per bandit pull or delivery step (Event, Ring, TraceSink).
 //

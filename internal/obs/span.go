@@ -10,7 +10,7 @@ import "sync"
 //	spool.enqueue → wire.send → wire.ack → collector.deliver
 //
 // joined by a (device, trace) identity the transport propagates over the
-// wire (protocol v2 frames carry the trace ID; see internal/transport).
+// wire (every frame carries the trace ID; see internal/transport).
 // A span is "closed end-to-end" once a collector.deliver stage joins the
 // device-side stages, which is exactly the paper's delivered-segment
 // lifecycle: the fleet experiment asserts closed == devices×segments.
@@ -21,8 +21,7 @@ import "sync"
 // (core.DefaultCodecCost) — so the span stream of a seeded run is
 // byte-identical from run to run. Stages emitted outside the engine
 // (spool/wire/collector) have no virtual cost and record VT/Dur zero;
-// their wall timing lives in the existing perf-timer histograms
-// (transport.uplink.rtt_seconds), never in span records.
+// wall timing belongs in perf-timer histograms, never in span records.
 
 // Stage identifies one lifecycle stage of a segment span.
 type Stage uint8
@@ -92,8 +91,8 @@ func StageOf(name string) (Stage, bool) {
 }
 
 // TraceOfSegment is the canonical segment→trace mapping: segment ID + 1,
-// so a trace identity is never zero (zero means "no trace" on the wire —
-// untraced AES1 frames stay byte-identical). Engines, the fleet harness
+// so a trace identity is never zero (zero means "no trace": an untraced
+// frame carries trace 0). Engines, the fleet harness
 // and tests all derive trace identities through this one function.
 func TraceOfSegment(segmentID uint64) uint64 { return segmentID + 1 }
 

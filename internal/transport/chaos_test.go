@@ -28,10 +28,10 @@ type chaosOutcome struct {
 // chaosRun pushes frames through a ResilientUplink whose dialer and
 // connections are faulted by a sim.FaultPlan, against a live Collector.
 // Both sides carry their own obs.Observer: the uplink's ring holds the
-// delivery trace (single pump goroutine → deterministic order for a
-// fixed seed and fault schedule), the collector's holds per-frame
-// deliver/redeliver events from its handler goroutines (only totals are
-// deterministic there).
+// delivery trace (a lockstep session, AckEvery 1, so pump and ACK reader
+// alternate → deterministic order for a fixed seed and fault schedule),
+// the collector's holds per-frame deliver/redeliver events from its
+// handler goroutines (only totals are deterministic there).
 //
 // The uplink trace deliberately excludes fail-event error text tied to
 // OS-level close/reset races (see normalizeChaosEvents); everything else
@@ -71,6 +71,7 @@ func chaosRun(t *testing.T, seed int64, frames []Frame) chaosOutcome {
 	cfg := ResilientConfig{
 		Addr:         addr.String(),
 		DeviceID:     42,
+		AckEvery:     1, // lockstep: the trace is a pure function of the schedule
 		Seed:         seed,
 		BackoffBase:  200 * time.Microsecond,
 		BackoffMax:   2 * time.Millisecond,

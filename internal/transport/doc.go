@@ -7,30 +7,35 @@
 //
 // Frame layout (little-endian, one frame per segment):
 //
-//	magic "AES1"
-//	uvarint id | zigzag-varint label | uvarint len(codec) | codec |
-//	uvarint N | uvarint len(data) | data
+//	magic "AES2"
+//	uvarint id | zigzag-varint label | uvarint trace | uvarint len(codec) |
+//	codec | uvarint N | uvarint len(data) | data
 //
-// The plain Writer/Reader pair streams frames fire-and-forget; the stream
-// ends with the sender closing its side and no trailer is needed.
+// trace is the segment's span identity, 0 when untraced. The Writer/Reader
+// pair frames and parses this stream.
 //
 // # Reliable delivery
 //
-// ResilientUplink (resilient.go) layers fault tolerance on top: frames
-// are journaled into a bounded Spool before any network I/O, a single
-// pump goroutine sends them in frame→ACK lockstep, and on any error the
-// uplink redials with seeded exponential-backoff jitter and resends from
-// the first unacknowledged frame. Collector (server.go) is the receiving
-// side: a per-device ACK watermark makes redelivered frames idempotent,
-// so the pair provides exactly-once delivery to the sink (DESIGN.md §8).
+// Every connection is one session (wire.go): the device opens with a
+// hello naming itself and its requested ACK coalescing factor, then
+// streams frames; the collector answers with cumulative ACKs.
+// ResilientUplink (resilient.go) is the sender: frames are journaled into
+// a bounded Spool before any network I/O, a single pump goroutine sends
+// them in ID order while a per-session reader applies ACKs, and on any
+// error the uplink redials with seeded exponential-backoff jitter and
+// resends from the first unacknowledged frame. AckEvery 1 makes the
+// session lockstep, which is what seeded chaos runs use. Collector
+// (server.go) is the receiving side: a per-device ACK watermark makes
+// redelivered frames idempotent, so the pair provides exactly-once
+// delivery to the sink (DESIGN.md §8).
 //
 // # Observability
 //
 // ResilientConfig.Obs instruments the uplink (dial/send/ack/backoff
-// counters, spool-depth and RTT histograms, and one trace event per
-// lifecycle transition, all emitted from the pump goroutine in order);
-// Collector.Instrument attaches the receiving side (frame, duplicate and
-// bad-connection counters plus deliver/redeliver events). Event fields
+// counters, a spool-depth histogram, and one trace event per lifecycle
+// transition, emitted in order); Collector.Instrument attaches the
+// receiving side (frame, duplicate and bad-connection counters plus
+// deliver/redeliver events). Event fields
 // carry no wall clocks, so seeded chaos runs compare traces byte-for-byte
 // (DESIGN.md §9).
 package transport

@@ -32,7 +32,9 @@ func FuzzFrameReader(f *testing.F) {
 	_ = pw.Send(Frame{ID: 1<<64 - 1, Label: 0, Enc: enc})
 	_ = pw.Flush()
 	f.Add(poison.Bytes())
-	f.Add([]byte("AES1"))
+	// A retired header magic in front of an otherwise plausible body:
+	// rejected outright.
+	f.Add(append([]byte("AES1"), 1, 2, 3, 'p', 'a', 'a', 4, 0))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -71,6 +73,39 @@ func FuzzAckReader(f *testing.F) {
 			if _, err := readAck(r); err != nil {
 				return // io.EOF or rejected: fine
 			}
+		}
+	})
+}
+
+// FuzzHelloReader: arbitrary bytes must never panic the session-hello
+// parser, and every hello it accepts must re-serialize byte-identically
+// through writeHelloV2 — the parser accepts exactly the one layout the
+// uplink writes.
+func FuzzHelloReader(f *testing.F) {
+	var buf bytes.Buffer
+	_ = writeHelloV2(&buf, 42, 1)
+	f.Add(buf.Bytes())
+	buf.Reset()
+	_ = writeHelloV2(&buf, 1<<40, 0)
+	f.Add(buf.Bytes())
+	f.Add([]byte{'A', 'E', 'H', '1', 1, 7})    // retired version 1
+	f.Add([]byte{'A', 'E', 'H', '1', 2, 0x80}) // torn device id
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		r := bufio.NewReader(src)
+		h, err := readHello(r)
+		if err != nil {
+			return // io.EOF or rejected: fine
+		}
+		consumed := len(data) - src.Len() - r.Buffered()
+		var out bytes.Buffer
+		if err := writeHelloV2(&out, h.deviceID, h.ackEvery); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data[:consumed]) {
+			t.Fatalf("accepted hello %x re-serializes as %x", data[:consumed], out.Bytes())
 		}
 	})
 }

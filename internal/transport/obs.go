@@ -1,27 +1,25 @@
 package transport
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Transport instrumentation. The uplink mirrors its delivery trace
 // (Event) into obs counters and the trace ring; the collector counts
 // deliveries, redeliveries and bad connections. As in core, a nil bundle
 // is the disabled configuration and costs one branch per call site.
 //
-// Ordering note: all uplink events are emitted by the single pump
-// goroutine, so their ring order is deterministic for a fixed fault
-// schedule and seed. Collector events come from per-connection handler
-// goroutines; only per-device order and the totals are deterministic,
-// which is what the chaos test asserts (DESIGN.md §9).
+// Ordering note: uplink events come from the pump and the session's ACK
+// reader, serialized by ResilientUplink.evMu. In a lockstep session
+// (AckEvery 1) the two strictly alternate, so the ring order is
+// deterministic for a fixed fault schedule and seed. Collector events
+// come from per-connection handler goroutines; only per-device order and
+// the totals are deterministic, which is what the chaos test asserts
+// (DESIGN.md §9).
 
 // uplinkMetrics is the ResilientUplink's cached obs handles.
 type uplinkMetrics struct {
 	sink     obs.TraceSink
-	spans    *obs.SpanRing      // nil when spans are disabled
-	health   *obs.DeviceHealth  // this device's fleet-board row
+	spans    *obs.SpanRing     // nil when spans are disabled
+	health   *obs.DeviceHealth // this device's fleet-board row
 	deviceID uint64
 
 	dials     *obs.Counter
@@ -35,7 +33,6 @@ type uplinkMetrics struct {
 
 	pending *obs.Gauge
 	depth   *obs.Histogram
-	rtt     *obs.Histogram
 }
 
 func newUplinkMetrics(o *obs.Observer, deviceID uint64) *uplinkMetrics {
@@ -58,7 +55,6 @@ func newUplinkMetrics(o *obs.Observer, deviceID uint64) *uplinkMetrics {
 		rejects:   reg.Counter("transport.uplink.spool_rejects"),
 		pending:   reg.Gauge("transport.uplink.pending"),
 		depth:     reg.Histogram("transport.uplink.spool_depth", obs.DepthBuckets),
-		rtt:       reg.Histogram("transport.uplink.rtt_seconds", obs.LatencyBuckets),
 	}
 }
 
@@ -160,22 +156,6 @@ func (m *uplinkMetrics) reject() {
 	m.rejects.Inc()
 }
 
-// rttStart and rttDone bracket one frame→ACK round trip. The clock is
-// only read when instrumentation is attached.
-func (m *uplinkMetrics) rttStart() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (m *uplinkMetrics) rttDone(start time.Time) {
-	if m == nil {
-		return
-	}
-	m.rtt.Observe(time.Since(start).Seconds())
-}
-
 // collectorMetrics is the Collector's cached obs handles.
 type collectorMetrics struct {
 	sink  obs.TraceSink
@@ -250,14 +230,6 @@ func (m *collectorMetrics) frame(deviceID, frameID, trace uint64, delivered bool
 	}
 }
 
-// legacyFrame records one fire-and-forget frame (no device watermark).
-func (m *collectorMetrics) legacyFrame() {
-	if m == nil {
-		return
-	}
-	m.frames.Inc()
-}
-
 // badConn records a connection dropped on malformed input.
 func (m *collectorMetrics) badConn() {
 	if m == nil {
@@ -284,7 +256,7 @@ func (m *collectorMetrics) eviction() {
 }
 
 // ackBatch records how many frames one cumulative ACK covered (always 1
-// on the v1 lockstep path).
+// for a lockstep session).
 func (m *collectorMetrics) ackBatch(n uint64) {
 	if m == nil {
 		return

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,28 +15,23 @@ import (
 
 // ResilientUplink is the fault-tolerant device-side sender: Send spools
 // the frame in a bounded on-device queue (backed by store.Spool) and
-// returns without touching the network; a single pump goroutine owns all
-// I/O, sending spooled frames in ID order with write deadlines and
-// reading the collector's cumulative ACK after each one. On any
-// connection error the pump backs off exponentially (deterministic,
-// seeded jitter), redials, and resends from the first unacknowledged
-// frame. The wire is therefore at-least-once; the collector's per-device
-// watermark turns it into exactly-once at the sink.
+// returns without touching the network. A single pump goroutine owns
+// every write, streaming spooled frames in ID order with write deadlines,
+// and a per-session ACK-reader goroutine applies the collector's
+// cumulative ACKs. On any connection error the pump backs off
+// exponentially (deterministic, seeded jitter), redials, and resends from
+// the first unacknowledged frame. The wire is therefore at-least-once;
+// the collector's per-device watermark turns it into exactly-once at the
+// sink.
 //
-// The uplink speaks one of two session protocols (ResilientConfig.
-// Protocol):
-//
-//   - Version 1 (default) is the frame→ACK lockstep. It trades
-//     pipelining for a property the chaos tests depend on: the entire
-//     network interaction is a deterministic function of the spooled
-//     traffic and the fault schedule, so two runs with the same seed
-//     produce the same retry/ACK trace.
-//   - Version 2 pipelines: the pump streams spooled frames without
-//     waiting, and a per-session ACK-reader goroutine applies the
-//     collector's coalesced cumulative ACKs as they arrive. Throughput
-//     no longer pays a round trip per frame, but the interleaving of
-//     send and ack events is scheduler-dependent, so seeded chaos
-//     comparisons stay on version 1.
+// ResilientConfig.AckEvery sets the ACK coalescing factor. With
+// AckEvery 1 the session is lockstep: the pump sends the next frame only
+// after the reader has applied and emitted the ACK covering the previous
+// one. That trades pipelining for a property the chaos tests depend on:
+// the entire network interaction is a deterministic function of the
+// spooled traffic and the fault schedule, so two runs with the same seed
+// produce the same retry/ACK trace. Any other value pipelines, and the
+// interleaving of send and ack events is scheduler-dependent.
 type ResilientUplink struct {
 	cfg   ResilientConfig
 	spool *store.Spool
@@ -49,9 +45,9 @@ type ResilientUplink struct {
 	// releases (nil when uninstrumented; built once to keep the ACK path
 	// allocation-free).
 	ackVisit func(*store.Entry)
-	// evMu serializes the delivery trace: in pipelined mode events come
-	// from both the pump and the session's ACK reader, and OnEvent
-	// consumers are promised sequential calls.
+	// evMu serializes the delivery trace: events come from both the pump
+	// and the session's ACK reader, and OnEvent consumers are promised
+	// sequential calls.
 	evMu sync.Mutex
 
 	mu     sync.Mutex
@@ -76,12 +72,14 @@ type ResilientConfig struct {
 	// DeviceID identifies this device to the collector's dedup watermark.
 	// Devices sharing a collector must use distinct IDs.
 	DeviceID uint64
-	// Protocol selects the session protocol: 0 or 1 is the version-1
-	// lockstep (deterministic, one ACK per frame), 2 is the pipelined
-	// version-2 session with coalesced ACKs.
+	// Protocol names the session protocol version. There is one (2);
+	// DialResilient accepts 0 or 2 and rejects any other value.
+	//
+	// Deprecated: leave it unset.
 	Protocol int
-	// AckEvery is the ACK coalescing factor requested in the version-2
-	// hello (0 asks for the collector's default). Ignored for version 1.
+	// AckEvery is the ACK coalescing factor requested in the session
+	// hello (0 asks for the collector's default). 1 is lockstep: one ACK
+	// per frame, awaited before the next frame is sent.
 	AckEvery int
 	// DialTimeout bounds each dial attempt (default DefaultDialTimeout).
 	DialTimeout time.Duration
@@ -110,12 +108,13 @@ type ResilientConfig struct {
 	// is net.DialTimeout over TCP.
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
 	// OnEvent observes the delivery trace (dials, sends, ACKs, backoff).
-	// Called from the pump goroutine; must not block.
+	// Calls are sequential, from the pump or the ACK reader; must not
+	// block.
 	OnEvent func(Event)
 	// Obs mirrors the delivery trace into the observability substrate:
-	// per-kind counters, a spool-depth gauge/histogram, a frame→ACK RTT
-	// histogram, and one trace-ring event per delivery-trace Event. Nil
-	// disables at the cost of one branch per event.
+	// per-kind counters, a spool-depth gauge/histogram, and one
+	// trace-ring event per delivery-trace Event. Nil disables at the cost
+	// of one branch per event.
 	Obs *obs.Observer
 }
 
@@ -145,11 +144,16 @@ type UplinkStats struct {
 	SendFailures int
 	// AckFailures counts ACK reads that broke the connection (timeouts
 	// and torn reads on the collector→device half), kept separate from
-	// SendFailures so the two halves stay diagnosable.
+	// SendFailures so the two halves stay diagnosable. A read cut short
+	// by the pump's own teardown or by Close is not counted.
 	AckFailures int
 	// Pending and Dropped report the spool state.
 	Pending, Dropped int
 }
+
+// DefaultDialTimeout bounds each dial attempt: a black-holed collector
+// address must fail the attempt quickly, not hang the pump forever.
+const DefaultDialTimeout = 10 * time.Second
 
 func (c ResilientConfig) withDefaults() ResilientConfig {
 	if c.DialTimeout <= 0 {
@@ -192,6 +196,9 @@ func DialResilient(cfg ResilientConfig) (*ResilientUplink, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Addr == "" {
 		return nil, errors.New("transport: resilient uplink needs an address")
+	}
+	if cfg.Protocol != 0 && cfg.Protocol != helloVersion2 {
+		return nil, fmt.Errorf("transport: unsupported session protocol %d", cfg.Protocol)
 	}
 	u := &ResilientUplink{
 		cfg:  cfg,
@@ -337,15 +344,13 @@ func (u *ResilientUplink) sleep(d time.Duration) bool {
 	}
 }
 
-// run is the pump: it owns every network write (in pipelined mode a
-// per-session ACK-reader goroutine owns the reads).
+// run is the pump: it owns every network write (a per-session
+// ACK-reader goroutine owns the reads).
 func (u *ResilientUplink) run() {
 	defer u.wg.Done()
 	defer u.dropConn()
-	pipelined := u.cfg.Protocol >= 2
 	for {
-		head, ok := u.spool.Head()
-		if !ok {
+		if u.spool.Len() == 0 {
 			select {
 			case <-u.work:
 				continue
@@ -367,13 +372,7 @@ func (u *ResilientUplink) run() {
 				continue
 			}
 		}
-		var err error
-		if pipelined {
-			err = u.sessionPipelined()
-		} else {
-			err = u.sendOne(head)
-		}
-		if err != nil {
+		if err := u.runSession(); err != nil {
 			u.dropConn()
 			wait := u.boff.next()
 			u.event(Event{Kind: "backoff", Wait: wait})
@@ -411,12 +410,7 @@ func (u *ResilientUplink) connect() bool {
 	conn, err := u.cfg.Dialer(u.cfg.Addr, u.cfg.DialTimeout)
 	if err == nil {
 		_ = conn.SetWriteDeadline(time.Now().Add(u.cfg.WriteTimeout))
-		if u.cfg.Protocol >= 2 {
-			err = writeHelloV2(conn, u.cfg.DeviceID, uint64(u.cfg.AckEvery))
-		} else {
-			err = writeHello(conn, u.cfg.DeviceID)
-		}
-		if err != nil {
+		if err = writeHelloV2(conn, u.cfg.DeviceID, uint64(u.cfg.AckEvery)); err != nil {
 			_ = conn.Close()
 		}
 	}
@@ -446,76 +440,62 @@ func (u *ResilientUplink) connect() bool {
 	return true
 }
 
-// sendOne transmits the head frame and waits for the cumulative ACK.
-func (u *ResilientUplink) sendOne(e *store.Entry) error {
-	u.mu.Lock()
-	conn, br, w := u.conn, u.br, u.w
-	u.mu.Unlock()
-	if conn == nil {
-		return net.ErrClosed
-	}
-	rttFrom := u.om.rttStart()
-	_ = conn.SetWriteDeadline(time.Now().Add(u.cfg.WriteTimeout))
-	err := w.Send(Frame{ID: e.ID, Label: e.Label, Trace: e.Trace, Enc: e.Enc})
-	if err == nil {
-		err = w.Flush()
-	}
-	if err != nil {
-		u.mu.Lock()
-		u.stats.SendFailures++
-		u.mu.Unlock()
-		u.event(Event{Kind: "send-fail", ID: e.ID, Err: err.Error()})
-		return err
-	}
-	u.mu.Lock()
-	u.stats.FramesSent++
-	u.mu.Unlock()
-	u.event(Event{Kind: "send", ID: e.ID})
-	u.om.spanSend(e.Trace, e.ID)
-	_ = conn.SetReadDeadline(time.Now().Add(u.cfg.AckTimeout))
-	next, err := readAck(br)
-	if err != nil {
-		u.mu.Lock()
-		u.stats.AckFailures++
-		u.mu.Unlock()
-		u.event(Event{Kind: "ack-fail", ID: e.ID, Err: err.Error()})
-		return err
-	}
-	u.om.rttDone(rttFrom)
-	u.ackTo(next)
-	u.event(Event{Kind: "ack", ID: next})
-	u.boff.reset()
-	return nil
+// session is the state one connection's pump and ACK reader share.
+type session struct {
+	// sentThrough is one past the ID of the last frame written in this
+	// session (0: none yet); the reader reads only while the spool's ACK
+	// watermark is below it.
+	sentThrough atomic.Uint64
+	// ackedThrough is the last ACK watermark the reader applied and
+	// emitted (0: none yet); a lockstep pump waits for it to pass the
+	// frame it just sent.
+	ackedThrough atomic.Uint64
+	sent         chan struct{} // pump → reader: a frame was written
+	acked        chan struct{} // reader → pump: an ACK was emitted
+	ackErr       chan error    // reader → pump: the ACK half broke
+	stop         chan struct{} // closed when the pump tears the session down
 }
 
-// sessionPipelined runs one version-2 session: the pump streams spooled
-// frames past a send cursor without waiting for ACKs, while ackLoop (a
-// per-session goroutine) applies the collector's coalesced cumulative
-// ACKs. Either side's error tears the session down; the pump then backs
-// off, redials, and resends from the first unacknowledged frame. It
-// returns nil only when the uplink is closing.
-func (u *ResilientUplink) sessionPipelined() error {
+// wake posts a non-blocking wakeup on a one-slot channel.
+func wake(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// runSession runs one session on the installed connection: the pump
+// streams spooled frames past a send cursor, while ackLoop (a per-session
+// goroutine) applies the collector's cumulative ACKs. With AckEvery 1 the
+// pump waits after each frame until the ACK covering it was applied and
+// emitted, so pump and reader strictly alternate. Either side's error
+// tears the session down; the pump then backs off, redials, and resends
+// from the first unacknowledged frame. It returns nil only when the
+// uplink is closing.
+func (u *ResilientUplink) runSession() error {
 	u.mu.Lock()
 	conn, br, w := u.conn, u.br, u.w
 	u.mu.Unlock()
 	if conn == nil {
 		return net.ErrClosed
 	}
-	ackErr := make(chan error, 1)
-	sent := make(chan struct{}, 1)
-	stop := make(chan struct{})
-	var acked atomic.Bool
+	s := &session{
+		sent:   make(chan struct{}, 1),
+		acked:  make(chan struct{}, 1),
+		ackErr: make(chan error, 1),
+		stop:   make(chan struct{}),
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		u.ackLoop(conn, br, sent, stop, ackErr, &acked)
+		u.ackLoop(conn, br, s)
 	}()
 	teardown := func(err error) error {
-		close(stop)
+		close(s.stop)
 		u.dropConn() // unblocks the reader's readAck
 		wg.Wait()
-		if acked.Load() {
+		if s.ackedThrough.Load() > 0 {
 			// The session made progress; the next failure is a fresh
 			// incident, not a continuation of this one.
 			u.boff.reset()
@@ -523,13 +503,12 @@ func (u *ResilientUplink) sessionPipelined() error {
 		return err
 	}
 
-	var cursor uint64
-	var sentAny bool
+	lockstep := u.cfg.AckEvery == 1
 	for {
 		var e *store.Entry
 		var ok bool
-		if sentAny {
-			e, ok = u.spool.HeadAfter(cursor)
+		if n := s.sentThrough.Load(); n > 0 {
+			e, ok = u.spool.HeadAfter(n - 1)
 		} else {
 			e, ok = u.spool.Head()
 		}
@@ -539,14 +518,14 @@ func (u *ResilientUplink) sessionPipelined() error {
 			select {
 			case <-u.work:
 				continue
-			case err := <-ackErr:
+			case err := <-s.ackErr:
 				return teardown(err)
 			case <-u.done:
 				return teardown(nil)
 			}
 		}
 		select {
-		case err := <-ackErr:
+		case err := <-s.ackErr:
 			return teardown(err)
 		case <-u.done:
 			return teardown(nil)
@@ -558,6 +537,11 @@ func (u *ResilientUplink) sessionPipelined() error {
 			err = w.Flush()
 		}
 		if err != nil {
+			select {
+			case <-u.done:
+				return teardown(nil) // Close cut the write short
+			default:
+			}
 			u.mu.Lock()
 			u.stats.SendFailures++
 			u.mu.Unlock()
@@ -569,41 +553,57 @@ func (u *ResilientUplink) sessionPipelined() error {
 		u.mu.Unlock()
 		u.event(Event{Kind: "send", ID: e.ID})
 		u.om.spanSend(e.Trace, e.ID)
-		cursor, sentAny = e.ID, true
-		select {
-		case sent <- struct{}{}:
-		default:
+		s.sentThrough.Store(e.ID + 1)
+		wake(s.sent)
+		for lockstep && s.ackedThrough.Load() <= e.ID {
+			select {
+			case <-s.acked:
+			case err := <-s.ackErr:
+				return teardown(err)
+			case <-u.done:
+				return teardown(nil)
+			}
 		}
 	}
 }
 
-// ackLoop is the version-2 session's read half: it applies cumulative
-// ACKs while frames are outstanding and parks while the spool is empty
-// (an idle session expects no ACKs, so no read deadline may fire). The
-// first error is posted to ackErr and ends the loop.
-func (u *ResilientUplink) ackLoop(conn net.Conn, br *bufio.Reader, sent, stop <-chan struct{}, ackErr chan<- error, acked *atomic.Bool) {
+// ackLoop is the session's read half. It reads only while a frame written
+// in this session is unacknowledged: before the first send, and whenever
+// everything sent is acknowledged, no ACK is due, so no read deadline may
+// fire. Each ACK is applied and emitted before the pump is woken. The
+// first error is posted to ackErr and ends the loop; a read cut short by
+// the pump's teardown or by Close is not an ACK failure.
+func (u *ResilientUplink) ackLoop(conn net.Conn, br *bufio.Reader, s *session) {
 	for {
-		if u.spool.Len() == 0 {
+		if u.spool.Acked() >= s.sentThrough.Load() {
 			select {
-			case <-sent:
-				continue // frames in flight again; resume reading
-			case <-stop:
+			case <-s.sent:
+				continue // a frame is in flight again; resume reading
+			case <-s.stop:
 				return
 			}
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(u.cfg.AckTimeout))
 		next, err := readAck(br)
 		if err != nil {
+			select {
+			case <-s.stop:
+				return
+			case <-u.done:
+				return
+			default:
+			}
 			u.mu.Lock()
 			u.stats.AckFailures++
 			u.mu.Unlock()
 			u.event(Event{Kind: "ack-fail", Err: err.Error()})
-			ackErr <- err
+			s.ackErr <- err
 			return
 		}
-		acked.Store(true)
 		u.ackTo(next)
 		u.event(Event{Kind: "ack", ID: next})
+		s.ackedThrough.Store(next)
+		wake(s.acked)
 	}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -208,4 +209,195 @@ func TestBackoffDeterministic(t *testing.T) {
 	if d := b1.next(); d > base {
 		t.Fatalf("post-reset delay %v exceeds base %v", d, base)
 	}
+}
+
+// silentCollector accepts connections and reads everything sent, but
+// never answers with an ACK. It returns the address; the listener and
+// its readers stop at test cleanup.
+func silentCollector(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		_ = ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, _ = io.Copy(io.Discard, conn)
+				_ = conn.Close()
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// failingWriteConn fails its failAt-th Write (1-based) without closing
+// the connection, as a write timeout would.
+type failingWriteConn struct {
+	net.Conn
+	writes, failAt int
+}
+
+func (c *failingWriteConn) Write(b []byte) (int, error) {
+	c.writes++
+	if c.writes == c.failAt {
+		return 0, errors.New("injected write failure")
+	}
+	return c.Conn.Write(b)
+}
+
+// signalWriteConn posts to writing as each Write begins.
+type signalWriteConn struct {
+	net.Conn
+	writing chan<- struct{}
+}
+
+func (c *signalWriteConn) Write(b []byte) (int, error) {
+	c.writing <- struct{}{}
+	return c.Conn.Write(b)
+}
+
+// TestResilientTeardownNotAckFailure is the regression for spurious
+// failures: when the pump tears a session down (a failed write) or Close
+// cuts it short, the ACK reader's read error is the teardown itself and
+// must not be counted as an AckFailure or traced as ack-fail, and a write
+// Close interrupts is not a SendFailure. The peer never ACKs, so every
+// frame stays in flight.
+func TestResilientTeardownNotAckFailure(t *testing.T) {
+	dial := func(t *testing.T, addr string, onEvent func(Event), dialer func(string, time.Duration) (net.Conn, error)) *ResilientUplink {
+		t.Helper()
+		up, err := DialResilient(ResilientConfig{
+			Addr: addr, DeviceID: 5, AckTimeout: 30 * time.Second,
+			BackoffBase: time.Millisecond, BackoffMax: time.Millisecond,
+			OnEvent: onEvent, Dialer: dialer,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = up.Close() })
+		return up
+	}
+	waitKind := func(t *testing.T, ch <-chan string, kind string) {
+		t.Helper()
+		timeout := time.After(5 * time.Second)
+		for {
+			select {
+			case k := <-ch:
+				if k == kind {
+					return
+				}
+			case <-timeout:
+				t.Fatalf("no %s event", kind)
+			}
+		}
+	}
+	events := func(t *testing.T) (chan string, func(Event)) {
+		ch := make(chan string, 256)
+		return ch, func(e Event) {
+			select {
+			case ch <- e.Kind:
+			default:
+			}
+			if e.Kind == "ack-fail" {
+				t.Errorf("ack-fail traced: %+v", e)
+			}
+		}
+	}
+
+	t.Run("write-failure", func(t *testing.T) {
+		addr := silentCollector(t)
+		var dialMu sync.Mutex
+		dials := 0
+		dialer := func(a string, timeout time.Duration) (net.Conn, error) {
+			conn, err := net.DialTimeout("tcp", a, timeout)
+			if err != nil {
+				return nil, err
+			}
+			dialMu.Lock()
+			defer dialMu.Unlock()
+			if dials++; dials == 1 {
+				// Write 1 is the hello, 2 is frame 1, 3 is frame 2.
+				return &failingWriteConn{Conn: conn, failAt: 3}, nil
+			}
+			return conn, nil
+		}
+		ch, onEvent := events(t)
+		up := dial(t, addr, onEvent, dialer)
+		for id := uint64(1); id <= 3; id++ {
+			if err := up.Send(smallFrame(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitKind(t, ch, "send-fail")
+		if err := up.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := up.Stats()
+		if st.SendFailures != 1 || st.AckFailures != 0 {
+			t.Fatalf("stats = %+v, want SendFailures 1 and AckFailures 0", st)
+		}
+	})
+
+	t.Run("close-mid-write", func(t *testing.T) {
+		// The peer reads the hello and then nothing, so the first frame
+		// write blocks until Close cuts it short.
+		writing := make(chan struct{}, 1)
+		dialer := func(string, time.Duration) (net.Conn, error) {
+			device, peer := net.Pipe()
+			t.Cleanup(func() { _ = peer.Close() })
+			go func() {
+				var hello bytes.Buffer
+				_ = writeHelloV2(&hello, 5, 0)
+				_, _ = io.ReadFull(peer, make([]byte, hello.Len()))
+			}()
+			return &signalWriteConn{Conn: device, writing: writing}, nil
+		}
+		ch, onEvent := events(t)
+		up := dial(t, "pipe", onEvent, dialer)
+		if err := up.Send(smallFrame(1)); err != nil {
+			t.Fatal(err)
+		}
+		<-writing // the hello
+		<-writing // frame 1, now blocked
+		if err := up.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st := up.Stats(); st.SendFailures != 0 || st.AckFailures != 0 {
+			t.Fatalf("stats = %+v, want no send or ACK failures", st)
+		}
+		for len(ch) > 0 {
+			if k := <-ch; k == "send-fail" {
+				t.Fatal("send-fail traced for a write Close cut short")
+			}
+		}
+	})
+
+	t.Run("close-in-flight", func(t *testing.T) {
+		addr := silentCollector(t)
+		ch, onEvent := events(t)
+		up := dial(t, addr, onEvent, nil)
+		if err := up.Send(smallFrame(1)); err != nil {
+			t.Fatal(err)
+		}
+		waitKind(t, ch, "send")
+		if err := up.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st := up.Stats(); st.AckFailures != 0 {
+			t.Fatalf("stats = %+v, want AckFailures 0", st)
+		}
+	})
 }

@@ -34,7 +34,7 @@ const (
 	// DefaultCollectorShards is the device-map shard count when
 	// CollectorConfig.Shards is 0.
 	DefaultCollectorShards = 16
-	// DefaultAckEvery is the v2 ACK coalescing factor when neither the
+	// DefaultAckEvery is the ACK coalescing factor when neither the
 	// device hello nor CollectorConfig requests one.
 	DefaultAckEvery = 16
 	// maxAckEvery caps the negotiated coalescing factor so a hostile
@@ -49,9 +49,8 @@ type CollectorConfig struct {
 	// two; default DefaultCollectorShards). Devices hash to shards by
 	// ID, so unrelated devices never contend on one mutex.
 	Shards int
-	// AckEvery is the default v2 ACK coalescing factor for devices whose
-	// hello does not request one (default DefaultAckEvery). Version-1
-	// sessions always get lockstep per-frame ACKs regardless.
+	// AckEvery is the default ACK coalescing factor for devices whose
+	// hello does not request one (default DefaultAckEvery).
 	AckEvery int
 	// MaxIdleDevices bounds resident per-device session state for
 	// devices with no live connection. When the bound is exceeded,
@@ -89,7 +88,7 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 // segments to a sink. It is the minimal centralized counterpart an
 // AdaEdge deployment transmits to.
 //
-// Connections that open with a session hello get reliable-delivery
+// Every connection opens with a session hello and gets reliable-delivery
 // semantics: the collector tracks a per-device cumulative watermark and
 // drops redelivered segments (the resilient uplink retransmits everything
 // unacknowledged after a reconnect), so the sink sees each segment ID at
@@ -106,9 +105,9 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 //     calls for one device are therefore serialized and ID-ordered by
 //     construction, no matter how many zombie connections a flaky
 //     network leaves behind.
-//   - ACKs are coalesced for protocol-v2 sessions (every K frames or
-//     when the read side goes idle); v1 sessions keep the lockstep
-//     one-ACK-per-frame exchange byte for byte.
+//   - ACKs are coalesced (every K frames, as the device's hello asks,
+//     or when the read side goes idle); K = 1 is the lockstep
+//     one-ACK-per-frame exchange.
 //   - Idle devices beyond CollectorConfig.MaxIdleDevices are evicted
 //     down to a watermark entry in a store.Watermarks table, so a fleet
 //     of mostly-idle devices costs O(1) small entries each, and
@@ -288,36 +287,6 @@ func (c *Collector) Serve(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-func (c *Collector) handle(conn net.Conn) {
-	defer func() { _ = conn.Close() }()
-	br := bufio.NewReader(conn)
-	if magic, err := br.Peek(len(helloMagic)); err == nil && [4]byte(magic) == helloMagic {
-		c.handleReliable(conn, br)
-		return
-	}
-	c.handleLegacy(br)
-}
-
-// handleLegacy is the fire-and-forget path: frames in, nothing out.
-func (c *Collector) handleLegacy(br *bufio.Reader) {
-	r := NewReader(br)
-	for {
-		frame, err := r.Recv()
-		if errors.Is(err, io.EOF) {
-			return
-		}
-		if err != nil {
-			c.noteBadConn()
-			return
-		}
-		c.frames.Add(1)
-		c.om.legacyFrame()
-		values, release := c.decode(frame)
-		c.sink(frame, values)
-		release()
-	}
-}
-
 // attach takes single-writer ownership of deviceID for conn: it creates
 // or revives the device session (seeding the watermark from the eviction
 // table for returning devices), bumps the session generation, and kicks
@@ -446,24 +415,26 @@ func (c *Collector) detach(deviceID uint64, dev *deviceState, gen uint64) {
 	c.om.shardDepth(depth)
 }
 
-// handleReliable is the hello/ACK path: per-device dedup with serialized,
-// ID-ordered sink calls; lockstep ACKs for v1 sessions, coalesced ACKs
-// for v2.
-func (c *Collector) handleReliable(conn net.Conn, br *bufio.Reader) {
+// handle runs one device session: the hello, then per-device dedup with
+// serialized, ID-ordered sink calls and coalesced ACKs. A connection that
+// does not open with a hello is a bad connection; one closed before its
+// first byte is not counted.
+func (c *Collector) handle(conn net.Conn) {
+	defer func() { _ = conn.Close() }()
+	br := bufio.NewReader(conn)
 	h, err := readHello(br)
 	if err != nil {
-		c.noteBadConn()
+		if !errors.Is(err, io.EOF) {
+			c.noteBadConn()
+		}
 		return
 	}
-	ackEvery := uint64(1)
-	if h.version >= helloVersion2 {
-		ackEvery = h.ackEvery
-		if ackEvery == 0 {
-			ackEvery = uint64(c.cfg.AckEvery)
-		}
-		if ackEvery > maxAckEvery {
-			ackEvery = maxAckEvery
-		}
+	ackEvery := h.ackEvery
+	if ackEvery == 0 {
+		ackEvery = uint64(c.cfg.AckEvery)
+	}
+	if ackEvery > maxAckEvery {
+		ackEvery = maxAckEvery
 	}
 	dev, gen := c.attach(h.deviceID, conn)
 	defer c.detach(h.deviceID, dev, gen)
@@ -537,9 +508,9 @@ func (c *Collector) handleReliable(conn net.Conn, br *bufio.Reader) {
 		health := dev.health
 		dev.mu.Unlock()
 		pending++
-		// v1 acks in lockstep (ackEvery == 1); v2 coalesces: ack every
-		// ackEvery frames, or as soon as the read side goes idle so the
-		// tail of a burst is never left waiting.
+		// Coalesce: ack every ackEvery frames (every frame when the
+		// device asked for lockstep), or as soon as the read side goes
+		// idle so the tail of a burst is never left waiting.
 		if pending < ackEvery && br.Buffered() > 0 {
 			continue
 		}
@@ -678,64 +649,4 @@ func (c *Collector) Close() error {
 		}
 	}
 	return err
-}
-
-// DefaultDialTimeout bounds Dial: a black-holed collector address must
-// fail the device quickly, not hang it forever.
-const DefaultDialTimeout = 10 * time.Second
-
-// Uplink is the device-side sender: a connection plus framing. It is the
-// plain fire-and-forget path; see ResilientUplink for spooled,
-// acknowledged delivery.
-type Uplink struct {
-	conn         net.Conn
-	w            *Writer
-	writeTimeout time.Duration
-}
-
-// Dial connects to a Collector with DefaultDialTimeout.
-func Dial(addr string) (*Uplink, error) {
-	return DialTimeout(addr, DefaultDialTimeout)
-}
-
-// DialTimeout connects to a Collector, failing after timeout (0 means no
-// bound).
-func DialTimeout(addr string, timeout time.Duration) (*Uplink, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return &Uplink{conn: conn, w: NewWriter(conn)}, nil
-}
-
-// SetWriteTimeout bounds each Send/Flush: the write deadline is pushed
-// forward by d before every operation (0 disables, the default).
-func (u *Uplink) SetWriteTimeout(d time.Duration) { u.writeTimeout = d }
-
-func (u *Uplink) pushDeadline() {
-	if u.writeTimeout > 0 {
-		_ = u.conn.SetWriteDeadline(time.Now().Add(u.writeTimeout))
-	}
-}
-
-// Send transmits one segment frame.
-func (u *Uplink) Send(f Frame) error {
-	u.pushDeadline()
-	return u.w.Send(f)
-}
-
-// Flush pushes buffered frames.
-func (u *Uplink) Flush() error {
-	u.pushDeadline()
-	return u.w.Flush()
-}
-
-// Close flushes and closes the connection.
-func (u *Uplink) Close() error {
-	u.pushDeadline()
-	if err := u.w.Flush(); err != nil {
-		_ = u.conn.Close() // the flush error is the one worth reporting
-		return err
-	}
-	return u.conn.Close()
 }

@@ -14,9 +14,10 @@ import (
 	"repro/internal/store"
 )
 
-// sessionClient is a raw reliable-session client for collector tests:
-// hand-rolled hello, frames, and ACK reads, so tests can drive exactly
-// the wire interleavings the resilient uplink would never produce.
+// sessionClient is a raw session client for collector tests: a lockstep
+// hello (one ACK per frame), then hand-rolled frames and ACK reads, so
+// tests can drive exactly the wire interleavings the resilient uplink
+// would never produce.
 type sessionClient struct {
 	conn net.Conn
 	w    *Writer
@@ -29,7 +30,7 @@ func dialSession(t *testing.T, addr string, deviceID uint64) *sessionClient {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeHello(conn, deviceID); err != nil {
+	if err := writeHelloV2(conn, deviceID, 1); err != nil {
 		t.Fatal(err)
 	}
 	return &sessionClient{conn: conn, w: NewWriter(conn), br: bufio.NewReader(conn)}
@@ -351,9 +352,9 @@ func TestCollectorEvictReattachRace(t *testing.T) {
 	}
 }
 
-// TestResilientPipelinedDelivery: the version-2 protocol delivers
-// exactly once with coalesced ACKs, and WaitDrain's notification path
-// (no polling) sees the drain.
+// TestResilientPipelinedDelivery: a pipelined session delivers exactly
+// once with coalesced ACKs, and WaitDrain's notification path (no
+// polling) sees the drain.
 func TestResilientPipelinedDelivery(t *testing.T) {
 	reg := compress.DefaultRegistry(4)
 	var mu sync.Mutex
@@ -370,7 +371,7 @@ func TestResilientPipelinedDelivery(t *testing.T) {
 	defer col.Close()
 
 	up, err := DialResilient(ResilientConfig{
-		Addr: addr.String(), DeviceID: 11, Protocol: 2, AckEvery: 4,
+		Addr: addr.String(), DeviceID: 11, AckEvery: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -405,8 +406,8 @@ func TestResilientPipelinedDelivery(t *testing.T) {
 	}
 }
 
-// TestResilientPipelinedRedial: a connection reset mid-stream on the
-// pipelined protocol triggers a redial and retransmit; the collector's
+// TestResilientPipelinedRedial: a connection reset mid-stream in a
+// pipelined session triggers a redial and retransmit; the collector's
 // watermark keeps delivery exactly-once.
 func TestResilientPipelinedRedial(t *testing.T) {
 	reg := compress.DefaultRegistry(4)
@@ -442,7 +443,7 @@ func TestResilientPipelinedRedial(t *testing.T) {
 		return conn, err
 	}
 	up, err := DialResilient(ResilientConfig{
-		Addr: addr.String(), DeviceID: 13, Protocol: 2, AckEvery: 4,
+		Addr: addr.String(), DeviceID: 13, AckEvery: 4,
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
 		Dialer: dialer,
 	})

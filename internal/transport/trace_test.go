@@ -19,8 +19,7 @@ func tracedFrame(id uint64) Frame {
 }
 
 // TestFrameTraceRoundTrip pins the AES2 header: a traced frame leads
-// with the v2 magic and round-trips its trace identity; everything else
-// matches the v1 layout.
+// with the AES2 magic and round-trips its trace identity.
 func TestFrameTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -47,10 +46,9 @@ func TestFrameTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameUntracedByteIdentical pins wire compatibility: a zero-trace
-// frame must serialize byte-for-byte as the original AES1 layout — the
-// trace field is absent, not zero-encoded — so uninstrumented senders
-// and pre-span captures stay indistinguishable.
+// TestFrameUntracedByteIdentical pins the one frame layout for an
+// untraced frame: it serializes byte-for-byte as the hand-rolled AES2
+// encoding with a zero trace uvarint, and round-trips as untraced.
 func TestFrameUntracedByteIdentical(t *testing.T) {
 	f := smallFrame(7) // Trace zero
 	var got bytes.Buffer
@@ -62,13 +60,13 @@ func TestFrameUntracedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hand-rolled AES1 encoding of the same frame.
 	var want bytes.Buffer
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(v uint64) { want.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	want.WriteString("AES1")
+	want.WriteString("AES2")
 	put(f.ID)
 	put(zigzag(int64(f.Label)))
+	put(0) // trace
 	put(uint64(len(f.Enc.Codec)))
 	want.WriteString(f.Enc.Codec)
 	put(uint64(f.Enc.N))
@@ -76,15 +74,16 @@ func TestFrameUntracedByteIdentical(t *testing.T) {
 	want.Write(f.Enc.Data)
 
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("zero-trace frame not byte-identical to AES1:\n got %x\nwant %x", got.Bytes(), want.Bytes())
+		t.Fatalf("zero-trace frame not byte-identical to AES2:\n got %x\nwant %x", got.Bytes(), want.Bytes())
 	}
 
 	rt, err := NewReader(&got).Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Trace != 0 {
-		t.Fatalf("AES1 frame decoded trace %d, want 0", rt.Trace)
+	if rt.Trace != 0 || rt.ID != f.ID || rt.Label != f.Label || rt.Enc.Codec != f.Enc.Codec ||
+		rt.Enc.N != f.Enc.N || !bytes.Equal(rt.Enc.Data, f.Enc.Data) {
+		t.Fatalf("zero-trace round trip = %+v, want %+v", rt, f)
 	}
 }
 

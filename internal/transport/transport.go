@@ -18,19 +18,15 @@ type Frame struct {
 	// Label is the segment's class label (-1 when unknown).
 	Label int
 	// Trace is the span identity joining this frame's collector-side
-	// delivery to its device-side lifecycle (see internal/obs). Zero
-	// means "no trace": the frame is emitted with the original AES1
-	// header, byte-identical to pre-span senders. Non-zero traces ride
-	// the AES2 header, one extra uvarint after the label.
+	// delivery to its device-side lifecycle (see internal/obs); zero
+	// means untraced.
 	Trace uint64
 	// Enc is the compressed representation plus codec metadata.
 	Enc compress.Encoded
 }
 
-var frameMagic = [4]byte{'A', 'E', 'S', '1'}
-
-// frameMagicV2 marks a traced frame: same layout as AES1 plus one trace
-// uvarint between the label and the codec name. Readers accept both.
+// frameMagicV2 leads every frame. The "2" is the header version: the
+// trace uvarint sits between the label and the codec name.
 var frameMagicV2 = [4]byte{'A', 'E', 'S', '2'}
 
 // ErrBadFrame is returned on malformed input.
@@ -73,11 +69,7 @@ func (t *Writer) Send(f Frame) error {
 	if f.Enc.N < 0 || f.Enc.N > maxFramePoints {
 		return fmt.Errorf("%w: point count %d", ErrBadFrame, f.Enc.N)
 	}
-	magic := frameMagic
-	if f.Trace != 0 {
-		magic = frameMagicV2
-	}
-	if _, err := t.w.Write(magic[:]); err != nil {
+	if _, err := t.w.Write(frameMagicV2[:]); err != nil {
 		return err
 	}
 	if err := t.uvarint(f.ID); err != nil {
@@ -86,10 +78,8 @@ func (t *Writer) Send(f Frame) error {
 	if err := t.uvarint(zigzag(int64(f.Label))); err != nil {
 		return err
 	}
-	if f.Trace != 0 {
-		if err := t.uvarint(f.Trace); err != nil {
-			return err
-		}
+	if err := t.uvarint(f.Trace); err != nil {
+		return err
 	}
 	if err := t.uvarint(uint64(len(f.Enc.Codec))); err != nil {
 		return err
@@ -130,8 +120,7 @@ func (t *Reader) Recv() (Frame, error) {
 		}
 		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
-	traced := magic == frameMagicV2
-	if magic != frameMagic && !traced {
+	if magic != frameMagicV2 {
 		return Frame{}, ErrBadFrame
 	}
 	var f Frame
@@ -144,10 +133,8 @@ func (t *Reader) Recv() (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	f.Label = int(unzigzag(labelZZ))
-	if traced {
-		if f.Trace, err = binary.ReadUvarint(t.r); err != nil {
-			return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
-		}
+	if f.Trace, err = binary.ReadUvarint(t.r); err != nil {
+		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	nameLen, err := binary.ReadUvarint(t.r)
 	if err != nil || nameLen == 0 || nameLen > 255 {

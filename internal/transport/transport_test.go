@@ -94,8 +94,9 @@ func TestFrameNegativeLabel(t *testing.T) {
 func TestFrameRejectsBadInput(t *testing.T) {
 	cases := [][]byte{
 		{'X', 'X', 'X', 'X'},
-		{'A', 'E', 'S', '1'},            // truncated
-		append([]byte("AES1"), 1, 2, 0), // zero-length codec name
+		{'A', 'E', 'S', '2'},                 // truncated
+		append([]byte("AES2"), 1, 2, 0, 0),   // zero-length codec name
+		append([]byte("AES1"), 1, 2, 1, 'p'), // retired header version
 	}
 	for i, data := range cases {
 		if _, err := NewReader(bytes.NewReader(data)).Recv(); err == nil || err == io.EOF {
@@ -124,7 +125,7 @@ func TestFrameTruncatedMidPayload(t *testing.T) {
 // would refuse to produce, so the Reader's own bound is what gets tested.
 func rawFrameWithN(n uint64) []byte {
 	var buf bytes.Buffer
-	buf.WriteString("AES1")
+	buf.WriteString("AES2")
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(v uint64) {
 		k := binary.PutUvarint(tmp[:], v)
@@ -132,6 +133,7 @@ func rawFrameWithN(n uint64) []byte {
 	}
 	put(7)                // id
 	put(zigzag(int64(1))) // label
+	put(0)                // trace
 	put(3)
 	buf.WriteString("paa")
 	put(n) // point count under test
@@ -189,27 +191,30 @@ func TestAckRoundTripAndTruncation(t *testing.T) {
 	if _, err := readAck(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
 		t.Fatalf("empty stream: want io.EOF, got %v", err)
 	}
-	if _, err := readAck(bufio.NewReader(bytes.NewReader([]byte("AES1\x00")))); !errors.Is(err, ErrBadFrame) {
+	if _, err := readAck(bufio.NewReader(bytes.NewReader([]byte("AES2\x00")))); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("foreign magic: want ErrBadFrame, got %v", err)
 	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeHello(&buf, 99); err != nil {
-		t.Fatal(err)
-	}
-	h, err := readHello(bufio.NewReader(&buf))
-	if err != nil || h.deviceID != 99 || h.version != helloVersion || h.ackEvery != 0 {
-		t.Fatalf("v1 round trip: %+v err=%v", h, err)
-	}
-	buf.Reset()
 	if err := writeHelloV2(&buf, 7, 32); err != nil {
 		t.Fatal(err)
 	}
-	h, err = readHello(bufio.NewReader(&buf))
-	if err != nil || h.deviceID != 7 || h.version != helloVersion2 || h.ackEvery != 32 {
-		t.Fatalf("v2 round trip: %+v err=%v", h, err)
+	h, err := readHello(bufio.NewReader(&buf))
+	if err != nil || h.deviceID != 7 || h.ackEvery != 32 {
+		t.Fatalf("round trip: %+v err=%v", h, err)
+	}
+	// The retired version-1 (lockstep) hello is rejected like any other
+	// unknown version.
+	v1 := []byte{'A', 'E', 'H', '1', 1, 99}
+	if _, err := readHello(bufio.NewReader(bytes.NewReader(v1))); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("version 1: want ErrBadFrame, got %v", err)
+	}
+	// A connection closed before its first byte is a clean end, not a
+	// bad hello.
+	if _, err := readHello(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
+		t.Fatalf("empty stream: want io.EOF, got %v", err)
 	}
 	// Unknown protocol versions are rejected up front.
 	bad := []byte{'A', 'E', 'H', '1', 3, 99}
@@ -227,7 +232,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		t.Fatalf("torn hello error conflates read failure with version mismatch: %v", err)
 	}
 	// Torn mid-deviceID and mid-ackEvery are likewise diagnosable reads.
-	if _, err := readHello(bufio.NewReader(bytes.NewReader([]byte{'A', 'E', 'H', '1', 1}))); !errors.Is(err, ErrBadFrame) {
+	if _, err := readHello(bufio.NewReader(bytes.NewReader([]byte{'A', 'E', 'H', '1', 2}))); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("torn device id: want ErrBadFrame, got %v", err)
 	}
 	if _, err := readHello(bufio.NewReader(bytes.NewReader([]byte{'A', 'E', 'H', '1', 2, 7}))); !errors.Is(err, ErrBadFrame) {
@@ -254,48 +259,6 @@ func TestCollectorServeGuards(t *testing.T) {
 	}
 }
 
-func TestDialTimeoutRefused(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	_ = ln.Close()
-	if _, err := DialTimeout(addr, 500*time.Millisecond); err == nil {
-		t.Fatal("dial to a closed port succeeded")
-	}
-}
-
-func TestUplinkWriteTimeout(t *testing.T) {
-	col := NewCollector(compress.DefaultRegistry(4), nil)
-	addr, err := col.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	up, err := Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	up.SetWriteTimeout(2 * time.Second)
-	frames, _ := sampleFrames(t, 3)
-	for _, f := range frames {
-		if err := up.Send(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := up.Close(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for col.Frames() < len(frames) {
-		if time.Now().After(deadline) {
-			t.Fatalf("frames = %d", col.Frames())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 func TestCollectorEndToEnd(t *testing.T) {
 	reg := compress.DefaultRegistry(4)
 	var mu sync.Mutex
@@ -314,7 +277,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 	defer col.Close()
 
 	frames, raws := sampleFrames(t, 12)
-	up, err := Dial(addr.String())
+	up, err := DialResilient(ResilientConfig{Addr: addr.String(), DeviceID: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,19 +286,11 @@ func TestCollectorEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := up.WaitDrain(5 * time.Second); err != nil {
+		t.Fatalf("%v: received %d/%d frames", err, col.Frames(), len(frames))
+	}
 	if err := up.Close(); err != nil {
 		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if col.Frames() >= len(frames) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("received %d/%d frames", col.Frames(), len(frames))
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -358,34 +313,33 @@ func TestCollectorSurvivesGarbageConnection(t *testing.T) {
 	}
 	defer col.Close()
 
-	// A garbage connection must be dropped without affecting the next one.
-	up1, err := Dial(addr.String())
+	// A connection that does not open with a hello must be dropped
+	// without affecting the next one.
+	garbage, err := net.DialTimeout("tcp", addr.String(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	up1.conn.Write([]byte("not a frame at all"))
-	up1.conn.Close()
+	garbage.Write([]byte("not a frame at all"))
+	garbage.Close()
 
 	frames, _ := sampleFrames(t, 2)
-	up2, err := Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range frames {
-		if err := up2.Send(f); err != nil {
-			t.Fatal(err)
+	s := dialSession(t, addr.String(), 4)
+	defer s.conn.Close()
+	for i, f := range frames {
+		s.send(t, f)
+		if next := s.ack(t); next != uint64(i+1) {
+			t.Fatalf("ack after frame %d = %d, want %d", i, next, i+1)
 		}
 	}
-	up2.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for col.Frames() < 2 {
+	for col.BadConns() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("frames = %d after garbage connection", col.Frames())
+			t.Fatal("garbage connection not counted")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if col.BadConns() == 0 {
-		t.Fatal("garbage connection not counted")
+	if col.Frames() != 2 {
+		t.Fatalf("frames = %d after garbage connection", col.Frames())
 	}
 }
 
@@ -407,9 +361,10 @@ func TestCollectorCloseIdempotent(t *testing.T) {
 // make Recv allocate the full gibibyte before reading a byte. It must now
 // fail as a bad frame having allocated only what the input delivered.
 func TestRecvHostileLengthAllocatesLittle(t *testing.T) {
-	frame := []byte("AES1")
+	frame := []byte("AES2")
 	frame = binary.AppendUvarint(frame, 1)     // id
 	frame = binary.AppendUvarint(frame, 0)     // label
+	frame = binary.AppendUvarint(frame, 0)     // trace
 	frame = binary.AppendUvarint(frame, 1)     // codec name length
 	frame = append(frame, 'p')                 // codec name
 	frame = binary.AppendUvarint(frame, 8)     // point count

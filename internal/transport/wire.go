@@ -7,30 +7,22 @@ import (
 	"io"
 )
 
-// Reliable-session wire extensions. A resilient uplink opens each
-// connection with a hello frame identifying the device; the collector
-// answers segment frames on that connection with cumulative ACKs.
-// Connections that do not start with a hello are legacy fire-and-forget
-// streams (plain Uplink) and receive no ACKs, so the two generations of
-// senders interoperate with one collector.
+// Session wire format. A resilient uplink opens each connection with a
+// hello frame identifying the device; the collector answers the segment
+// frames on that connection with cumulative ACKs. A connection that does
+// not open with a hello is a bad connection.
 //
 // Hello (device → collector, once per connection):
 //
-//	v1: magic "AEH1" | uvarint 1 | uvarint deviceID
-//	v2: magic "AEH1" | uvarint 2 | uvarint deviceID | uvarint ackEvery
+//	magic "AEH1" | uvarint 2 | uvarint deviceID | uvarint ackEvery
 //
-// Version 1 is the lockstep protocol: the collector answers every frame
-// with an ACK before reading the next, and the device waits for it. That
-// round trip per frame is what makes the seeded chaos traces
-// byte-reproducible, so v1 is preserved verbatim for old devices and the
-// determinism suite.
-//
-// Version 2 is the pipelined protocol: the device streams frames without
-// waiting, and the collector coalesces ACKs — one every ackEvery frames,
-// or sooner when its read side goes idle (nothing buffered), so the tail
-// of a burst is acknowledged promptly. ackEvery is the device's request;
-// the collector may ack more often (idle flush) but never less. ackEvery
-// of 0 asks for the collector's default.
+// The device streams frames without waiting, and the collector coalesces
+// ACKs: one every ackEvery frames, or sooner when its read side goes idle
+// (nothing buffered), so the tail of a burst is acknowledged promptly.
+// ackEvery is the device's request; the collector may ack more often
+// (idle flush) but never less. ackEvery of 0 asks for the collector's
+// default, and 1 is lockstep: one ACK per frame, which the uplink waits
+// for before sending the next (see ResilientUplink).
 //
 // ACK (collector → device):
 //
@@ -46,31 +38,18 @@ var (
 	ackMagic   = [4]byte{'A', 'E', 'A', '1'}
 )
 
-// Reliable-session protocol versions (see package comment above).
-const (
-	helloVersion  = 1 // lockstep: one ACK per frame, sender waits
-	helloVersion2 = 2 // pipelined: batched ACKs, negotiated ackEvery
-)
+// helloVersion2 is the session protocol version a hello carries; any
+// other version is rejected.
+const helloVersion2 = 2
 
-// hello carries the negotiated parameters of one reliable session.
+// hello carries the negotiated parameters of one session.
 type hello struct {
 	deviceID uint64
-	version  uint64
-	ackEvery uint64 // v2 only: requested ACK coalescing factor (0 = collector default)
+	ackEvery uint64 // requested ACK coalescing factor (0 = collector default)
 }
 
-// writeHello emits a version-1 (lockstep) session hello for deviceID.
-func writeHello(w io.Writer, deviceID uint64) error {
-	var buf [4 + 2*binary.MaxVarintLen64]byte
-	n := copy(buf[:], helloMagic[:])
-	n += binary.PutUvarint(buf[n:], helloVersion)
-	n += binary.PutUvarint(buf[n:], deviceID)
-	_, err := w.Write(buf[:n])
-	return err
-}
-
-// writeHelloV2 emits a version-2 (pipelined) session hello for deviceID,
-// requesting an ACK at least every ackEvery frames.
+// writeHelloV2 emits the session hello for deviceID, requesting an ACK
+// at least every ackEvery frames.
 func writeHelloV2(w io.Writer, deviceID, ackEvery uint64) error {
 	var buf [4 + 3*binary.MaxVarintLen64]byte
 	n := copy(buf[:], helloMagic[:])
@@ -81,38 +60,66 @@ func writeHelloV2(w io.Writer, deviceID, ackEvery uint64) error {
 	return err
 }
 
-// readHello parses a session hello whose magic has already been peeked
-// (not consumed) by the caller. A failed read is reported as the
-// underlying error (torn hello), distinct from a cleanly-read but
-// unsupported version.
+// readHello parses a session hello. A connection closed before its first
+// byte is io.EOF; a failed read after that is reported as the underlying
+// error (torn hello), distinct from a cleanly-read but unsupported
+// version.
 func readHello(r *bufio.Reader) (hello, error) {
 	var h hello
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		if err == io.EOF {
+			return h, io.EOF
+		}
 		return h, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	if magic != helloMagic {
 		return h, ErrBadFrame
 	}
-	version, err := binary.ReadUvarint(r)
+	version, err := readHelloField(r, "version")
 	if err != nil {
-		return h, fmt.Errorf("%w: reading hello version: %v", ErrBadFrame, err)
+		return h, err
 	}
-	if version != helloVersion && version != helloVersion2 {
+	if version != helloVersion2 {
 		return h, fmt.Errorf("%w: hello version %d", ErrBadFrame, version)
 	}
-	h.version = version
-	h.deviceID, err = binary.ReadUvarint(r)
-	if err != nil {
-		return h, fmt.Errorf("%w: reading hello device id: %v", ErrBadFrame, err)
+	if h.deviceID, err = readHelloField(r, "device id"); err != nil {
+		return h, err
 	}
-	if version == helloVersion2 {
-		h.ackEvery, err = binary.ReadUvarint(r)
-		if err != nil {
-			return h, fmt.Errorf("%w: reading hello ack interval: %v", ErrBadFrame, err)
-		}
+	if h.ackEvery, err = readHelloField(r, "ack interval"); err != nil {
+		return h, err
 	}
 	return h, nil
+}
+
+// readHelloField reads one hello uvarint and rejects overlong encodings,
+// so an accepted hello has exactly one byte form: the one writeHelloV2
+// emits.
+func readHelloField(r *bufio.Reader, what string) (uint64, error) {
+	cr := countingByteReader{r: r}
+	v, err := binary.ReadUvarint(&cr)
+	if err != nil {
+		return 0, fmt.Errorf("%w: reading hello %s: %v", ErrBadFrame, what, err)
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	if cr.n != binary.PutUvarint(tmp[:], v) {
+		return 0, fmt.Errorf("%w: hello %s is not minimally encoded", ErrBadFrame, what)
+	}
+	return v, nil
+}
+
+// countingByteReader counts the bytes a uvarint read consumed.
+type countingByteReader struct {
+	r *bufio.Reader
+	n int
+}
+
+func (c *countingByteReader) ReadByte() (byte, error) {
+	b, err := c.r.ReadByte()
+	if err == nil {
+		c.n++
+	}
+	return b, err
 }
 
 // writeAck emits a cumulative acknowledgement: all IDs < next received.
